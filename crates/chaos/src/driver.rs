@@ -1,41 +1,9 @@
 //! Compiling a [`ChaosTimeline`] into an injection schedule with pinned
 //! per-event RNG streams.
 
-use hostcc_sim::Nanos;
+use hostcc_sim::{derive_seed, Nanos};
 
 use crate::timeline::{ChaosEvent, ChaosKind, ChaosTimeline};
-
-/// Derive the RNG seed of one chaos event stream from the run's scenario
-/// seed and the event's canonical key.
-///
-/// This is byte-for-byte the pinned FNV-1a/SplitMix64 scheme the sweep
-/// grid uses for per-cell seeds (`hostcc-experiments::grid::
-/// derive_cell_seed`) — duplicated here because the dependency points the
-/// other way. The experiments crate carries a cross-crate consistency test
-/// pinning the two implementations to each other. The properties that
-/// matter:
-///
-/// * the seed is a pure function of `(base_seed, key)` — no global state,
-///   so serial and parallel sweep execution trivially agree;
-/// * every event gets an independent, well-mixed stream, keyed by the
-///   event's *content and position*, not by injection interleaving.
-pub fn derive_event_seed(base_seed: u64, key: &str) -> u64 {
-    if key.is_empty() {
-        return base_seed;
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let mut z = base_seed ^ h;
-    for _ in 0..2 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-    }
-    z
-}
 
 /// Whether an injection opens or closes a fault window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +45,7 @@ impl ChaosDriver {
         let mut injections = Vec::new();
         let mut seeds = Vec::with_capacity(timeline.events.len());
         for (i, ev) in timeline.events.iter().enumerate() {
-            seeds.push(derive_event_seed(
+            seeds.push(derive_seed(
                 scenario_seed,
                 &format!("chaos[{i}]:{}", ev.canonical()),
             ));
@@ -185,7 +153,7 @@ mod tests {
 
     #[test]
     fn empty_key_passes_base_through() {
-        assert_eq!(derive_event_seed(42, ""), 42);
+        assert_eq!(derive_seed(42, ""), 42);
     }
 
     #[test]

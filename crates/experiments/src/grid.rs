@@ -5,8 +5,17 @@
 //! exactly one point. A [`GridSpec`] names a base scenario plus the axes to
 //! sweep; [`GridSpec::expand`] takes the cartesian product and yields one
 //! self-contained [`Cell`] per combination, each with a deterministically
-//! derived RNG seed (see [`derive_cell_seed`]). Cells are what the parallel
-//! sweep engine in [`crate::sweep`] executes.
+//! derived RNG seed. Cells are what the parallel sweep engine in
+//! [`crate::sweep`] executes.
+//!
+//! A cell's seed is `hostcc_sim::derive_seed(base seed, cell key)`, where
+//! the key is the canonical parameter assignment (e.g.
+//! `"ddio=off hostcc=on degree=3"`). It depends on the assignment, not the
+//! cell's index: adding values to an axis or reordering a preset never
+//! re-seeds pre-existing cells (activating a brand-new axis does, since
+//! every key gains a component), and replicas of the same parameters
+//! differ only via the base seed. The empty key is the identity, so a
+//! one-cell grid with no axes is bit-identical to a plain single run.
 //!
 //! Axes are applied to the base scenario in a fixed canonical order (DDIO
 //! before hostCC, so `enable_hostcc` picks the DDIO-matched `I_T`
@@ -15,7 +24,7 @@
 //! varying slowest — exactly the row order of the paper's tables.
 
 use hostcc_fabric::{TopologyKind, TopologySpec};
-use hostcc_sim::Rate;
+use hostcc_sim::{derive_seed, Rate};
 use hostcc_workloads::{IncastSpec, TrafficPattern};
 
 use crate::scenario::{CcSel, Scenario};
@@ -29,41 +38,6 @@ pub const MAX_CELLS: usize = 65_536;
 pub const AXIS_NAMES: &str = "ddio hostcc bt it level cc degree flows incast topology racks \
 hosts_per_rack mtu ecn_kb drop chaos seed";
 
-/// Derive the RNG seed of one grid cell from the sweep's base seed and the
-/// cell's canonical parameter key (e.g. `"ddio=off hostcc=on degree=3"`).
-///
-/// The key is hashed with FNV-1a and mixed into the base seed through two
-/// SplitMix64 finalizer rounds, so:
-///
-/// * every cell gets an independent, well-mixed seed — replicas of the same
-///   parameters differ only via the base seed;
-/// * the seed depends on the cell's *parameter assignment*, not its index:
-///   adding values to an axis or reordering a preset never changes the
-///   seeds of pre-existing cells (activating a brand-new axis does, since
-///   every key gains a component);
-/// * serial and parallel execution trivially agree, because the seed is a
-///   pure function of the spec.
-///
-/// The empty key is the identity: a one-cell grid with no axes runs the
-/// base scenario with its own seed, bit-identical to a plain single run.
-pub fn derive_cell_seed(base_seed: u64, cell_key: &str) -> u64 {
-    if cell_key.is_empty() {
-        return base_seed;
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in cell_key.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let mut z = base_seed ^ h;
-    for _ in 0..2 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-    }
-    z
-}
-
 /// One expanded grid point: a fully-resolved scenario plus the parameter
 /// assignment that produced it.
 #[derive(Debug, Clone)]
@@ -71,7 +45,7 @@ pub struct Cell {
     /// Position in the expansion order (row-major over the axes).
     pub index: usize,
     /// Canonical `name=value` key, axes in canonical order — the input to
-    /// [`derive_cell_seed`] and the row label in sweep outputs.
+    /// the cell's seed derivation and the row label in sweep outputs.
     pub key: String,
     /// The individual `(axis, value)` pairs of [`Cell::key`].
     pub params: Vec<(&'static str, String)>,
@@ -124,7 +98,7 @@ pub struct GridSpec {
     pub flows: Vec<u32>,
     /// Total greedy flows split over two incast senders.
     pub incast: Vec<u32>,
-    /// Fabric topology per cell: `off` (the legacy single switch port) or
+    /// Fabric topology per cell: `off` (no graph: the paper's one switch) or
     /// a kind name from [`hostcc_fabric::TopologyKind`] (`dumbbell`,
     /// `leaf-spine`, `fat-tree`). Attaching a topology reshapes the sender
     /// set, so this axis conflicts with `flows`/`incast`.
@@ -143,8 +117,8 @@ pub struct GridSpec {
     /// Chaos timeline per cell: a preset name or spec string from
     /// [`hostcc_chaos::ChaosTimeline`], or `off` for no chaos.
     pub chaos: Vec<String>,
-    /// Base RNG seeds (replicates; each is mixed per-cell, see
-    /// [`derive_cell_seed`]).
+    /// Base RNG seeds (replicates; each is mixed per-cell with the cell
+    /// key).
     pub seed: Vec<u64>,
 }
 
@@ -812,7 +786,7 @@ impl GridSpec {
             scenario
                 .check_chaos()
                 .map_err(|e| format!("cell '{key}': {e}"))?;
-            scenario.seed = derive_cell_seed(scenario.seed, &key);
+            scenario.seed = derive_seed(scenario.seed, &key);
             cells.push(Cell {
                 index,
                 key,
@@ -932,7 +906,7 @@ mod tests {
 
         // Stability: the seed is a function of (base seed, key) only.
         for c in &cells {
-            assert_eq!(c.scenario.seed, derive_cell_seed(spec.base.seed, &c.key));
+            assert_eq!(c.scenario.seed, derive_seed(spec.base.seed, &c.key));
         }
 
         // Adding values to an existing axis preserves prior cells' seeds.
@@ -1036,43 +1010,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_event_seeds_share_the_cell_seed_derivation() {
-        // The chaos crate pins its per-event stream derivation to the same
-        // FNV-1a + SplitMix64 scheme as the sweep's per-cell seeds; if one
-        // side changes, replayability claims break silently. Lock them
-        // together here, at the only crate that sees both.
-        for (seed, key) in [
-            (0u64, "chaos[0]:flap@4500000+400000"),
-            (42, "ddio=off hostcc=on degree=3"),
-            (0xdead_beef, ""),
-        ] {
-            assert_eq!(
-                hostcc_chaos::derive_event_seed(seed, key),
-                derive_cell_seed(seed, key),
-                "seed derivations diverged for {key:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn ecmp_path_seeds_share_the_cell_seed_derivation() {
-        // The fabric crate pins its ECMP path-choice derivation to the
-        // same FNV-1a + SplitMix64 scheme as the sweep's per-cell seeds;
-        // lock them together here, at the only crate that sees both.
-        for (seed, key) in [
-            (0u64, "ecmp:fat-tree-4:h0->h15:flow7"),
-            (42, "ddio=off hostcc=on degree=3"),
-            (0xdead_beef, ""),
-        ] {
-            assert_eq!(
-                hostcc_fabric::derive_path_seed(seed, key),
-                derive_cell_seed(seed, key),
-                "seed derivations diverged for {key:?}"
-            );
-        }
-    }
-
-    #[test]
     fn topology_axes_reach_the_scenario() {
         let mut g = GridSpec::new("t", Scenario::with_congestion(3.0));
         g.set_axis("topology", "off,leaf-spine").unwrap();
@@ -1133,6 +1070,26 @@ mod tests {
         }
         let cells = GridSpec::preset("leaf-spine").unwrap().expand().unwrap();
         assert_eq!(cells.len(), 4);
+    }
+
+    #[test]
+    fn degenerate_topology_sizes_are_rejected_with_the_valid_range() {
+        // Reshaping the sender set by an invalid spec's sender count used
+        // to wrap (`0·0·0/4 − 1`) and abort in the allocator; the cell must
+        // instead fail expansion with the spec's own range message.
+        for (kind, axis, want) in [
+            ("fat-tree", "racks", "fat tree needs even k >= 2, got k=0"),
+            ("leaf-spine", "hosts_per_rack", "hosts_per_rack >= 1"),
+        ] {
+            let mut g = GridSpec::new("t", Scenario::with_congestion(3.0));
+            g.set_axis("topology", kind).unwrap();
+            g.set_axis(axis, "0").unwrap();
+            let err = g.expand().unwrap_err();
+            assert!(
+                err.contains("invalid topology") && err.contains(want),
+                "{err}"
+            );
+        }
     }
 
     #[test]

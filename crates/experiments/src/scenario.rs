@@ -1,8 +1,9 @@
 //! End-to-end scenario configuration: one struct that pins every knob of
 //! an experiment, with presets for the paper's setups.
 
+use hostcc_chaos::ChaosTimeline;
 use hostcc_core::HostCcConfig;
-use hostcc_fabric::{FaultConfig, SwitchPortConfig, TopologySpec};
+use hostcc_fabric::{FaultConfig, SwitchPortConfig, Topology, TopologySpec};
 use hostcc_host::HostConfig;
 use hostcc_sim::{Nanos, Rate};
 use hostcc_workloads::{RpcConfig, TrafficPattern};
@@ -267,10 +268,11 @@ pub struct Scenario {
     /// Kept as the raw string so grid cell keys — and hence per-cell RNG
     /// seeds — stay purely textual.
     pub chaos: Option<String>,
-    /// Multi-switch fabric (None = the legacy single-switch-port path,
-    /// which stays bit-identical to pre-topology builds). With a
-    /// topology, `senders` must equal the spec's sender count and every
-    /// flow is forwarded hop by hop through per-link `SwitchPort`s.
+    /// Multi-switch fabric graph (None = the paper's testbed: every sender
+    /// behind one switch port into the receiver). With a topology,
+    /// `senders` must equal the spec's sender count and flows follow ECMP
+    /// routes through per-link `SwitchPort`s; either way packets cross the
+    /// same hop-by-hop forwarder.
     pub topology: Option<TopologySpec>,
     /// How greedy flows map onto hosts (incast fan-in vs ring collective;
     /// only [`TrafficPattern::Incast`] is valid without a topology).
@@ -373,8 +375,14 @@ impl Scenario {
     /// sender-host count and the current greedy-flow total is
     /// redistributed over them (ring pattern: one flow per sender).
     pub fn with_topology(mut self, spec: TopologySpec) -> Self {
-        let n = spec.sender_count();
         self.topology = Some(spec);
+        // An invalid spec has no meaningful sender count (a k=0 fat tree's
+        // `k³/4 − 1` wraps): leave the sender set alone, so `validate` and
+        // `GridSpec::expand` reject the spec with its valid range.
+        if spec.validate().is_err() {
+            return self;
+        }
+        let n = spec.sender_count();
         let total = match self.pattern {
             TrafficPattern::Incast => self.total_greedy_flows(),
             TrafficPattern::RingAllReduce => n,
@@ -499,6 +507,14 @@ impl Scenario {
 
     /// Sanity-check the configuration.
     pub fn validate(&self) {
+        self.assemble();
+    }
+
+    /// Validate the configuration and build, once, what it describes
+    /// beyond plain values: the topology graph (if one is attached) and the
+    /// resolved chaos timeline (if any) — what `Simulation::new` assembles
+    /// from. Panics like [`Scenario::validate`].
+    pub(crate) fn assemble(&self) -> (Option<Topology>, Option<ChaosTimeline>) {
         assert_eq!(self.senders, self.flows_per_sender.len());
         assert!(self.mtu > u64::from(hostcc_fabric::HEADER_BYTES) + 64);
         assert!(self.measure > Nanos::ZERO);
@@ -525,10 +541,12 @@ impl Scenario {
                 self.pattern.name()
             );
         }
-        if let Err(e) = self.check_chaos() {
-            panic!("{e}");
-        }
+        let topology = self.topology.as_ref().map(TopologySpec::build);
+        let chaos = self
+            .resolve_chaos(topology.as_ref())
+            .unwrap_or_else(|e| panic!("{e}"));
         self.host.validate();
+        (topology, chaos)
     }
 
     /// Check the chaos spec (syntax plus link-target resolution against
@@ -537,16 +555,28 @@ impl Scenario {
     /// `@link:` target lists the valid names instead of panicking deep in a
     /// sweep worker.
     pub fn check_chaos(&self) -> Result<(), String> {
+        // Only link targets need the graph, so build it only under chaos.
+        let topology = self
+            .chaos
+            .as_ref()
+            .and(self.topology.as_ref())
+            .map(TopologySpec::build);
+        self.resolve_chaos(topology.as_ref()).map(drop)
+    }
+
+    /// Resolve the chaos spec and check its link targets against
+    /// `topology`, the built graph (`None`: the single implicit link).
+    fn resolve_chaos(&self, topology: Option<&Topology>) -> Result<Option<ChaosTimeline>, String> {
         let Some(spec) = &self.chaos else {
-            return Ok(());
+            return Ok(None);
         };
-        let t = hostcc_chaos::ChaosTimeline::resolve(spec)
+        let timeline =
+            ChaosTimeline::resolve(spec).map_err(|e| format!("invalid chaos spec: {e}"))?;
+        let names = topology.map(Topology::link_names).unwrap_or_default();
+        timeline
+            .validate_targets(&names)
             .map_err(|e| format!("invalid chaos spec: {e}"))?;
-        // With a topology, link faults must address one of its links.
-        let built = self.topology.as_ref().map(TopologySpec::build);
-        let names = built.as_ref().map(|t| t.link_names()).unwrap_or_default();
-        t.validate_targets(&names)
-            .map_err(|e| format!("invalid chaos spec: {e}"))
+        Ok(Some(timeline))
     }
 
     /// Approximate base RTT of the scenario (diagnostics).

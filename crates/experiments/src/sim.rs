@@ -1,5 +1,5 @@
-//! The end-to-end simulation: senders → switch → receiver host, with
-//! transport, hostCC, workloads and metrics wired together.
+//! The end-to-end simulation: senders → switch fabric → receiver host,
+//! with transport, hostCC, workloads and metrics wired together.
 //!
 //! Architecture: packet motion is event-driven (the [`Ev`] enum); the
 //! receiver host integrates on a fixed 100 ns tick. The main loop drains
@@ -7,16 +7,16 @@
 //! the hostCC controller, the flows' timers and the workload generators.
 //!
 //! ```text
-//! Flow.poll_send → FqLink(sender NIC) → prop → SwitchPort(ECN/drop) →
-//!   prop → RxHost(NIC buffer → PCIe → IIO → memory) → stack delay →
+//! Flow.poll_send → FqLink(sender NIC) → prop → [SwitchPort(ECN/drop) →
+//!   prop]× hops → RxHost(NIC buffer → PCIe → IIO → memory) → stack delay →
 //!   Receiver.on_data → [hostCC echo already applied] → ACK (fixed
 //!   reverse delay) → Flow.on_ack
 //! ```
 
-use hostcc_chaos::{ChaosDriver, ChaosKind, ChaosPhase, ChaosTimeline};
+use hostcc_chaos::{ChaosDriver, ChaosKind, ChaosPhase};
 use hostcc_core::{EcnEcho, HostCc, Sample, SignalConfig, SignalSampler, TargetPolicy};
 use hostcc_fabric::{
-    Arena, ArenaRef, Departure, EnqueueOutcome, FaultInjector, FaultOutcome, FlowId, FqLink, Node,
+    Arena, ArenaRef, Departure, EnqueueOutcome, FaultInjector, FaultOutcome, FlowId, FqLink,
     Packet, PacketArena, PacketRef, SwitchPort, Topology,
 };
 use hostcc_flowscope::{FlowscopeHandle, Stage};
@@ -45,7 +45,7 @@ enum Ev {
     /// A packet's last bit left sender `sender`'s NIC.
     Depart { sender: u32, pkt: PacketRef },
     /// A packet's last bit arrived at a switch ingress. `hop` indexes the
-    /// packet's route (always 0 on the legacy single-switch path).
+    /// flow's route through the fabric.
     ArriveSwitch { pkt: PacketRef, hop: u32 },
     /// A packet's last bit arrived at the receiver NIC.
     ArriveRxNic { pkt: PacketRef },
@@ -67,19 +67,6 @@ struct AckMsg {
     sack: [Option<(u64, u64)>; 3],
 }
 
-/// What a link-fault chaos window acts on, resolved once at assembly from
-/// the event's `@link:<name>` target against the scenario's topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChaosTarget {
-    /// Untargeted fault: every sender NIC link (the legacy shape, and the
-    /// only valid one on the single implicit link of a no-topology run).
-    AllSenders,
-    /// A named host uplink: that one sender's NIC link.
-    Sender(u32),
-    /// A named switch-sourced link: that egress port of the topology.
-    FabricLink(u32),
-}
-
 /// Runtime state of a compiled chaos timeline: the driver plus per-event
 /// saved values so every fault window restores exactly what it perturbed.
 /// Overlapping windows of the same kind compose (open-window lists,
@@ -87,17 +74,19 @@ enum ChaosTarget {
 /// other.
 struct ChaosRt {
     driver: ChaosDriver,
-    /// Per-event resolved link target (meaningful for link-fault kinds).
-    targets: Vec<ChaosTarget>,
+    /// Per-event link target, resolved once at assembly from the event's
+    /// `@link:<name>`: a fabric link id, or `None` when untargeted (see
+    /// [`Fabric::covers`]). Meaningful for link-fault kinds only.
+    targets: Vec<Option<u32>>,
     /// Open link-down windows (flap and pause pulses may overlap):
     /// (event index, target).
-    down_windows: Vec<(usize, ChaosTarget)>,
+    down_windows: Vec<(usize, Option<u32>)>,
     /// Open degrade windows: (event index, target, magnitude); each link's
     /// rate is nominal × the product of the magnitudes covering it.
-    degrades: Vec<(usize, ChaosTarget, f64)>,
+    degrades: Vec<(usize, Option<u32>, f64)>,
     /// Open loss bursts: (event index, dedicated RNG stream, drop chance,
     /// target).
-    bursts: Vec<(usize, Rng, f64, ChaosTarget)>,
+    bursts: Vec<(usize, Rng, f64, Option<u32>)>,
     /// Saved MBA write latency per mbastall event.
     saved_mba: Vec<Option<Nanos>>,
     /// Saved (monitor jitter, hostCC jitter) per msrjitter event.
@@ -117,7 +106,7 @@ struct ChaosRt {
 }
 
 impl ChaosRt {
-    fn new(driver: ChaosDriver, targets: Vec<ChaosTarget>) -> Self {
+    fn new(driver: ChaosDriver, targets: Vec<Option<u32>>) -> Self {
         let n = driver.timeline().events.len();
         assert_eq!(targets.len(), n);
         ChaosRt {
@@ -137,60 +126,140 @@ impl ChaosRt {
         }
     }
 
-    /// Is sender `s`'s NIC link inside an open down window?
-    fn sender_down(&self, s: usize) -> bool {
-        self.down_windows.iter().any(|&(_, t)| match t {
-            ChaosTarget::AllSenders => true,
-            ChaosTarget::Sender(x) => x as usize == s,
-            ChaosTarget::FabricLink(_) => false,
-        })
-    }
-
-    /// Is topology link `link` inside an open down window?
-    fn fabric_link_down(&self, link: u32) -> bool {
+    /// Is fabric link `link` inside an open down window?
+    fn link_down(&self, fabric: &Fabric, link: u32) -> bool {
         self.down_windows
             .iter()
-            .any(|&(_, t)| t == ChaosTarget::FabricLink(link))
+            .any(|&(_, t)| fabric.covers(t, link))
     }
 
-    /// Rate multiplier for sender `s`'s NIC link (product of the open
-    /// degrade windows covering it).
-    fn sender_rate_scale(&self, s: usize) -> f64 {
+    /// Rate multiplier for fabric link `link`: the product of the open
+    /// degrade windows covering it.
+    fn rate_scale(&self, fabric: &Fabric, link: u32) -> f64 {
         self.degrades
             .iter()
-            .filter(|&&(_, t, _)| match t {
-                ChaosTarget::AllSenders => true,
-                ChaosTarget::Sender(x) => x as usize == s,
-                ChaosTarget::FabricLink(_) => false,
-            })
-            .map(|&(_, _, m)| m)
-            .product()
-    }
-
-    /// Rate multiplier for topology link `link`.
-    fn fabric_rate_scale(&self, link: u32) -> f64 {
-        self.degrades
-            .iter()
-            .filter(|&&(_, t, _)| t == ChaosTarget::FabricLink(link))
+            .filter(|&&(_, t, _)| fabric.covers(t, link))
             .map(|&(_, _, m)| m)
             .product()
     }
 }
 
-/// Runtime state of an attached multi-switch topology: the graph, one
-/// egress [`SwitchPort`] per switch-sourced link, and every flow's frozen
-/// ECMP route (host uplinks carry no port — the sender's [`FqLink`] *is*
-/// that link).
-struct TopoRt {
-    topo: Topology,
+/// The switch fabric between the senders' NICs and their destinations: a
+/// set of directed links, one egress [`SwitchPort`] per switch-sourced
+/// link, and every flow's frozen route through those ports. Host uplinks
+/// carry no port — the sender's [`FqLink`] *is* that link.
+///
+/// With a topology attached, the links are its graph's and the routes its
+/// ECMP paths. Without one, the fabric is the paper's testbed: each
+/// sender's uplink into one switch, whose single port every flow crosses
+/// into the focus receiver.
+struct Fabric {
     /// Per-link egress port, indexed by link id (`None` on host uplinks).
     ports: Vec<Option<SwitchPort>>,
-    /// Per-flow forwarding path: the switch-sourced links of its route, in
-    /// traversal order (`Ev::ArriveSwitch::hop` indexes this).
-    routes: Vec<Vec<u32>>,
+    /// The named graph the links come from, for `@link:` chaos targets and
+    /// per-port telemetry. `None` on the single-switch fabric, whose
+    /// unnamed port therefore registers no per-port gauges.
+    graph: Option<Topology>,
+    /// Each sender's uplink id.
+    uplinks: Vec<u32>,
+    /// Every flow's route — the switch-sourced links it crosses, in
+    /// traversal order — as a `(start, len)` span of `hops`
+    /// (`Ev::ArriveSwitch::hop` indexes the span).
+    routes: Vec<(u32, u32)>,
+    hops: Vec<u32>,
     /// Per-flow: does the path end at the focus receiver host (full host
     /// model) rather than a modeled-as-a-sink peer?
     dst_is_focus: Vec<bool>,
+}
+
+impl Fabric {
+    /// The fabric of a scenario without a topology: links `0..senders` are
+    /// the sender uplinks, link `senders` the one switch port every flow
+    /// crosses into the focus receiver. No graph, names or ECMP draws.
+    fn single_switch(cfg: &Scenario, n_flows: usize) -> Self {
+        let port = cfg.senders as u32;
+        let mut ports = vec![None; cfg.senders];
+        ports.push(Some(SwitchPort::new(cfg.switch)));
+        Fabric {
+            ports,
+            graph: None,
+            uplinks: (0..port).collect(),
+            routes: vec![(0, 1); n_flows],
+            hops: vec![port],
+            dst_is_focus: vec![true; n_flows],
+        }
+    }
+
+    /// Freeze an attached topology: one egress port per switch-sourced
+    /// link, and every flow's ECMP route drawn once from the pinned seed
+    /// derivation — routes depend only on (topology, flow, seed), so
+    /// multi-hop runs are bit-identical at any sweep worker count.
+    fn from_topology(topo: Topology, cfg: &Scenario, sender_of_flow: &[usize]) -> Self {
+        let ports = (0..topo.links().len() as u32)
+            .map(|l| {
+                topo.is_switch_sourced(l)
+                    .then(|| SwitchPort::new(cfg.switch))
+            })
+            .collect();
+        let uplinks = (0..cfg.senders as u32)
+            .map(|h| topo.host_uplinks(h)[0])
+            .collect();
+        let receiver = topo.receiver();
+        let mut routes = Vec::with_capacity(sender_of_flow.len());
+        let mut hops = Vec::new();
+        let mut dst_is_focus = Vec::with_capacity(sender_of_flow.len());
+        for (i, &s) in sender_of_flow.iter().enumerate() {
+            let src = s as u32;
+            let dst = match cfg.pattern {
+                TrafficPattern::Incast => receiver,
+                TrafficPattern::RingAllReduce => RingAllReduceSpec {
+                    hosts: topo.host_count(),
+                }
+                .dst_of(src),
+            };
+            let start = hops.len() as u32;
+            let path = topo.route(src, dst, i as u32, cfg.seed);
+            hops.extend(path.into_iter().filter(|&l| topo.is_switch_sourced(l)));
+            routes.push((start, hops.len() as u32 - start));
+            dst_is_focus.push(dst == receiver);
+        }
+        Fabric {
+            ports,
+            graph: Some(topo),
+            uplinks,
+            routes,
+            hops,
+            dst_is_focus,
+        }
+    }
+
+    /// The switch-sourced links of `flow`'s route, in traversal order.
+    fn route(&self, flow: u32) -> &[u32] {
+        let (start, len) = self.routes[flow as usize];
+        &self.hops[start as usize..(start + len) as usize]
+    }
+
+    /// The id of a named link (chaos targets, validated at assembly).
+    fn link_id(&self, name: &str) -> u32 {
+        self.graph
+            .as_ref()
+            .and_then(|g| g.find_link(name))
+            .expect("scenario validated chaos link targets")
+    }
+
+    /// Does a link fault aimed at `target` act on link `link`? A targeted
+    /// fault acts on its one link; an untargeted one on every host uplink
+    /// (scenario validation admits it only on the single-switch fabric).
+    fn covers(&self, target: Option<u32>, link: u32) -> bool {
+        target.map_or(self.ports[link as usize].is_none(), |t| t == link)
+    }
+
+    /// Does a link fault aimed at `target` act on `flow`'s path: its
+    /// sender's uplink or any hop of its route?
+    fn on_path(&self, target: Option<u32>, sender: usize, flow: u32) -> bool {
+        self.covers(target, self.uplinks[sender])
+            || self.route(flow).iter().any(|&l| self.covers(target, l))
+    }
 }
 
 /// The assembled simulation.
@@ -216,10 +285,7 @@ pub struct Simulation {
     tx_host: Option<TxHost>,
     /// Sender-side hostCC controller (drives the TX host's MBA).
     tx_hostcc: Option<HostCc>,
-    switch: SwitchPort,
-    /// Multi-switch fabric, when the scenario attaches a topology. The
-    /// legacy `switch` port is bypassed entirely in that case.
-    topo: Option<TopoRt>,
+    fabric: Fabric,
     rx: RxHost,
     hostcc: Option<HostCc>,
     echo: EcnEcho,
@@ -247,7 +313,7 @@ pub struct Simulation {
     copied_carry: f64,
     last_advertised_rwnd: Vec<u64>,
     stats_base: Vec<FlowStats>,
-    switch_base: (u64, u64, u64), // drops, marks, forwarded
+    fabric_base: (u64, u64, u64), // drops, marks, forwarded
     level_sum: f64,
     level_ticks: u64,
     is_sum: f64,
@@ -304,7 +370,7 @@ fn make_cc(kind: CcKind, base_rtt: Nanos) -> Box<dyn hostcc_transport::Congestio
 impl Simulation {
     /// Assemble a scenario.
     pub fn new(cfg: Scenario) -> Self {
-        cfg.validate();
+        let (topology, timeline) = cfg.assemble();
         let mut rng = Rng::new(cfg.seed);
         let mut flows = Vec::new();
         let mut recvs = Vec::new();
@@ -411,7 +477,6 @@ impl Simulation {
         let senders = (0..cfg.senders)
             .map(|_| FqLink::new(Rate::gbps(100.0)))
             .collect();
-        let switch = SwitchPort::new(cfg.switch);
         let telemetry = if cfg.record {
             TelemetryHandle::new(Telemetry::default())
         } else {
@@ -419,71 +484,19 @@ impl Simulation {
         };
         let tick = cfg.host.tick;
 
-        // Freeze the topology runtime: one egress port per switch-sourced
-        // link, and every flow's ECMP route drawn once from the pinned
-        // path-seed scheme — routes depend only on (topology, flow, seed),
-        // so multi-hop runs are bit-identical at any sweep worker count.
-        let topo = cfg.topology.map(|spec| {
-            let topo = spec.build();
-            let ports = (0..topo.links().len() as u32)
-                .map(|l| {
-                    topo.is_switch_sourced(l)
-                        .then(|| SwitchPort::new(cfg.switch))
-                })
-                .collect();
-            let receiver = topo.receiver();
-            let mut routes = Vec::with_capacity(n_flows);
-            let mut dst_is_focus = Vec::with_capacity(n_flows);
-            for (i, &s) in sender_of_flow.iter().enumerate() {
-                let src = s as u32;
-                let dst = match cfg.pattern {
-                    TrafficPattern::Incast => receiver,
-                    TrafficPattern::RingAllReduce => RingAllReduceSpec {
-                        hosts: topo.host_count(),
-                    }
-                    .dst_of(src),
-                };
-                let path = topo.route(src, dst, i as u32, cfg.seed);
-                routes.push(
-                    path.into_iter()
-                        .filter(|&l| topo.is_switch_sourced(l))
-                        .collect(),
-                );
-                dst_is_focus.push(dst == receiver);
-            }
-            TopoRt {
-                topo,
-                ports,
-                routes,
-                dst_is_focus,
-            }
-        });
+        let fabric = match topology {
+            Some(topo) => Fabric::from_topology(topo, &cfg, &sender_of_flow),
+            None => Fabric::single_switch(&cfg, n_flows),
+        };
 
         // Compile the chaos timeline and schedule every injection up front:
         // the schedule depends only on the scenario (spec text + seed), so
         // chaos runs are bit-identical at any sweep worker count.
-        let chaos = cfg.chaos.as_ref().map(|spec| {
-            let tl = ChaosTimeline::resolve(spec).expect("scenario validated the chaos spec");
-            // Resolve `@link:` targets against the topology: a host uplink
-            // is that sender's NIC link, anything switch-sourced is a
-            // fabric port. (Scenario::validate rejected unknown names.)
+        let chaos = timeline.map(|tl| {
             let targets = tl
                 .events
                 .iter()
-                .map(|e| match &e.target {
-                    None => ChaosTarget::AllSenders,
-                    Some(name) => {
-                        let t = &topo
-                            .as_ref()
-                            .expect("scenario validated link targets against a topology")
-                            .topo;
-                        let l = t.find_link(name).expect("scenario validated the target");
-                        match t.link(l).from {
-                            Node::Host(h) if (h as usize) < cfg.senders => ChaosTarget::Sender(h),
-                            _ => ChaosTarget::FabricLink(l),
-                        }
-                    }
-                })
+                .map(|e| e.target.as_deref().map(|name| fabric.link_id(name)))
                 .collect();
             ChaosRt::new(ChaosDriver::new(tl, cfg.seed), targets)
         });
@@ -504,8 +517,7 @@ impl Simulation {
             senders,
             tx_host,
             tx_hostcc,
-            switch,
-            topo,
+            fabric,
             rx,
             hostcc,
             echo: EcnEcho::new(),
@@ -523,7 +535,7 @@ impl Simulation {
             copied_carry: 0.0,
             last_advertised_rwnd: vec![u64::MAX; n_flows],
             stats_base: vec![FlowStats::default(); n_flows],
-            switch_base: (0, 0, 0),
+            fabric_base: (0, 0, 0),
             level_sum: 0.0,
             level_ticks: 0,
             is_sum: 0.0,
@@ -745,18 +757,9 @@ impl Simulation {
                     // packet's path drops it before the switch.
                     if let Some(c) = &mut self.chaos {
                         let mut hit = false;
-                        let sender = self.sender_of_flow[flow as usize] as u32;
+                        let sender = self.sender_of_flow[flow as usize];
                         for (_, rng, p, target) in &mut c.bursts {
-                            let draw = rng.chance(*p);
-                            let applies = match *target {
-                                ChaosTarget::AllSenders => true,
-                                ChaosTarget::Sender(s) => s == sender,
-                                ChaosTarget::FabricLink(l) => self
-                                    .topo
-                                    .as_ref()
-                                    .is_some_and(|rt| rt.routes[flow as usize].contains(&l)),
-                            };
-                            if draw && applies {
+                            if rng.chance(*p) && self.fabric.on_path(*target, sender, flow) {
                                 hit = true;
                             }
                         }
@@ -797,35 +800,7 @@ impl Simulation {
                         FaultOutcome::Pass => {}
                     }
                 }
-                let wire_bytes = self.arena.get(pkt).wire_bytes();
-                if self.topo.is_some() {
-                    self.forward_hop(now, pkt, flow, id, wire_bytes, hop);
-                    return;
-                }
-                match self.switch.enqueue(now, wire_bytes) {
-                    EnqueueOutcome::Dropped => {
-                        self.arena.remove(pkt);
-                        self.flowscope.packet_dropped(id, now);
-                        self.trace.emit(now, || TraceEvent::PacketDrop {
-                            flow,
-                            locus: DropLocus::Switch,
-                        });
-                    }
-                    EnqueueOutcome::Enqueued { departs, marked } => {
-                        // Propagation closes now; switch residency closes at
-                        // the (future) departure instant — safe to stamp
-                        // early, any later stamp is later still.
-                        self.flowscope.boundary(id, Stage::PropToSwitch, now);
-                        self.flowscope.boundary(id, Stage::SwitchQueue, departs);
-                        if marked {
-                            self.arena.get_mut(pkt).mark_ce();
-                            self.trace
-                                .emit(now, || TraceEvent::EcnMark { flow, host: false });
-                        }
-                        self.q
-                            .schedule(departs + self.cfg.link_prop, Ev::ArriveRxNic { pkt });
-                    }
-                }
+                self.forward_hop(now, pkt, flow, id, hop);
             }
             Ev::ArriveRxNic { pkt } => {
                 // NIC buffer admission; drops are counted inside the host.
@@ -842,7 +817,7 @@ impl Simulation {
                 // A non-focus destination has no modeled host: its
                 // application consumes at line rate, so drain the socket
                 // right away and advertise the reopened window.
-                if self.topo.as_ref().is_some_and(|rt| !rt.dst_is_focus[idx]) {
+                if !self.fabric.dst_is_focus[idx] {
                     let unconsumed = self.recvs[idx].unconsumed();
                     self.flow_goodput[idx] += self.recvs[idx].app_read(unconsumed);
                     ack.rwnd = self.recvs[idx].rwnd();
@@ -879,32 +854,23 @@ impl Simulation {
         }
     }
 
-    /// Forward a packet across hop `hop` of its route on the attached
-    /// topology: enqueue into that link's egress port, stamp the per-hop
+    /// Forward a packet across hop `hop` of its route through the fabric:
+    /// enqueue into that link's egress port, stamp the per-hop
     /// flowscope boundaries (accumulating stamps keep the exact stage-sum =
     /// e2e conservation identity over any hop count), and schedule the next
     /// hop — or the delivery, once the path is exhausted.
-    fn forward_hop(
-        &mut self,
-        now: Nanos,
-        pkt: PacketRef,
-        flow: u32,
-        id: u64,
-        wire_bytes: u64,
-        hop: u32,
-    ) {
-        let rt = self.topo.as_mut().expect("forward_hop needs a topology");
-        let route = &rt.routes[flow as usize];
+    fn forward_hop(&mut self, now: Nanos, pkt: PacketRef, flow: u32, id: u64, hop: u32) {
+        let route = self.fabric.route(flow);
         let link = route[hop as usize];
         let last = hop as usize + 1 == route.len();
         // An open link-down window kills the link: arrivals at its ingress
         // are lost (packets already queued in the port still depart).
-        if self
+        if let Some(c) = self
             .chaos
-            .as_ref()
-            .is_some_and(|c| c.fabric_link_down(link))
+            .as_mut()
+            .filter(|c| c.link_down(&self.fabric, link))
         {
-            self.chaos.as_mut().expect("checked above").drops += 1;
+            c.drops += 1;
             self.arena.remove(pkt);
             self.flowscope.packet_dropped(id, now);
             self.trace.emit(now, || TraceEvent::PacketDrop {
@@ -913,7 +879,8 @@ impl Simulation {
             });
             return;
         }
-        let port = rt.ports[link as usize]
+        let wire_bytes = self.arena.get(pkt).wire_bytes();
+        let port = self.fabric.ports[link as usize]
             .as_mut()
             .expect("route links are switch-sourced");
         match port.enqueue(now, wire_bytes) {
@@ -926,6 +893,9 @@ impl Simulation {
                 });
             }
             EnqueueOutcome::Enqueued { departs, marked } => {
+                // Propagation closes now; switch residency closes at the
+                // (future) departure instant — safe to stamp early, any
+                // later stamp is later still.
                 self.flowscope.boundary(id, Stage::PropToSwitch, now);
                 self.flowscope.boundary(id, Stage::SwitchQueue, departs);
                 if marked {
@@ -938,7 +908,7 @@ impl Simulation {
                         departs + self.cfg.link_prop,
                         Ev::ArriveSwitch { pkt, hop: hop + 1 },
                     );
-                } else if rt.dst_is_focus[flow as usize] {
+                } else if self.fabric.dst_is_focus[flow as usize] {
                     self.q
                         .schedule(departs + self.cfg.link_prop, Ev::ArriveRxNic { pkt });
                 } else {
@@ -983,8 +953,12 @@ impl Simulation {
             // normally, arrivals queue behind — or, on a fabric link, are
             // lost at the dead ingress.
             ChaosKind::LinkFlap | ChaosKind::PauseStorm => {
-                let n = self.senders.len();
-                let was: Vec<bool> = (0..n).map(|s| c.sender_down(s)).collect();
+                let fabric = &self.fabric;
+                let was: Vec<bool> = fabric
+                    .uplinks
+                    .iter()
+                    .map(|&l| c.link_down(fabric, l))
+                    .collect();
                 if start {
                     c.down_windows.push((inj.event, target));
                 } else if let Some(p) = c.down_windows.iter().position(|&(e, _)| e == inj.event) {
@@ -994,7 +968,7 @@ impl Simulation {
                 // overlapping windows compose; fabric links need no edge
                 // work (downness is checked at forwarding time).
                 for (s, &was_down) in was.iter().enumerate() {
-                    let is_down = c.sender_down(s);
+                    let is_down = c.link_down(&self.fabric, self.fabric.uplinks[s]);
                     if is_down && !was_down {
                         self.senders[s].set_down();
                     } else if !is_down && was_down {
@@ -1017,16 +991,14 @@ impl Simulation {
                     c.degrades.remove(p);
                 }
                 for s in 0..self.senders.len() {
-                    let rate = Rate::gbps(100.0 * c.sender_rate_scale(s));
-                    self.senders[s].set_rate(rate);
+                    let scale = c.rate_scale(&self.fabric, self.fabric.uplinks[s]);
+                    self.senders[s].set_rate(Rate::gbps(100.0 * scale));
                 }
-                if let Some(rt) = &mut self.topo {
-                    let nominal = self.cfg.switch.rate.as_gbps();
-                    for (l, port) in rt.ports.iter_mut().enumerate() {
-                        if let Some(port) = port {
-                            let scale = c.fabric_rate_scale(l as u32);
-                            port.set_rate(Rate::gbps(nominal * scale));
-                        }
+                let nominal = self.cfg.switch.rate.as_gbps();
+                for l in 0..self.fabric.ports.len() {
+                    let scale = c.rate_scale(&self.fabric, l as u32);
+                    if let Some(port) = &mut self.fabric.ports[l] {
+                        port.set_rate(Rate::gbps(nominal * scale));
                     }
                 }
             }
@@ -1343,20 +1315,16 @@ impl Simulation {
         self.perf.exit();
     }
 
-    /// Cumulative (drops, marks, forwarded) across the active fabric: the
-    /// topology's egress ports when one is attached, the single legacy
-    /// switch port otherwise.
+    /// Cumulative (drops, marks, forwarded) across the fabric's egress
+    /// ports.
     fn fabric_totals(&self) -> (u64, u64, u64) {
-        match &self.topo {
-            Some(rt) => rt.ports.iter().flatten().fold((0, 0, 0), |(d, m, f), p| {
+        self.fabric
+            .ports
+            .iter()
+            .flatten()
+            .fold((0, 0, 0), |(d, m, f), p| {
                 (d + p.drops(), m + p.marks(), f + p.forwarded())
-            }),
-            None => (
-                self.switch.drops(),
-                self.switch.marks(),
-                self.switch.forwarded(),
-            ),
-        }
+            })
     }
 
     /// Update registry gauges from the host probe and the latest signal
@@ -1385,28 +1353,25 @@ impl Simulation {
             .chaos
             .as_ref()
             .map(|c| (c.fired, c.drops, c.open as f64));
-        // The first few fabric ports are interesting individually (hotspot
-        // visibility on multi-switch runs); beyond that, totals suffice.
-        let port_stats: Vec<(String, f64, u64, u64)> = match &mut self.topo {
-            Some(rt) => {
-                let topo = &rt.topo;
-                rt.ports
-                    .iter_mut()
-                    .enumerate()
-                    .filter_map(|(l, p)| {
-                        let p = p.as_mut()?;
-                        Some((
-                            topo.link(l as u32).name.clone(),
-                            p.backlog_bytes(now) as f64,
-                            p.marks(),
-                            p.drops(),
-                        ))
-                    })
-                    .take(8)
-                    .collect()
-            }
-            None => Vec::new(),
-        };
+        // The first few named fabric ports are interesting individually
+        // (hotspot visibility on multi-switch runs); beyond that, totals
+        // suffice. The unnamed single-switch fabric contributes none.
+        let port_stats: Vec<(String, f64, u64, u64)> = self
+            .fabric
+            .ports
+            .iter_mut()
+            .zip(self.fabric.graph.iter().flat_map(Topology::links))
+            .filter_map(|(p, link)| {
+                let p = p.as_mut()?;
+                Some((
+                    link.name.clone(),
+                    p.backlog_bytes(now) as f64,
+                    p.marks(),
+                    p.drops(),
+                ))
+            })
+            .take(8)
+            .collect();
         // The first few flows are interesting individually (Fig 8's
         // convergence view); beyond that per-flow series are noise.
         let flow_rates: Vec<(usize, f64)> = self
@@ -1488,7 +1453,7 @@ impl Simulation {
         for (i, f) in self.flows.iter().enumerate() {
             self.stats_base[i] = f.stats;
         }
-        self.switch_base = self.fabric_totals();
+        self.fabric_base = self.fabric_totals();
         self.flow_goodput.fill(0);
         self.level_sum = 0.0;
         self.level_ticks = 0;
@@ -1536,8 +1501,8 @@ impl Simulation {
             .sum();
         let nic_drops = self.rx.nic_drops();
         let (fab_drops, fab_marks, _) = self.fabric_totals();
-        let switch_drops = fab_drops - self.switch_base.0;
-        let fabric_marks = fab_marks - self.switch_base.1;
+        let switch_drops = fab_drops - self.fabric_base.0;
+        let fabric_marks = fab_marks - self.fabric_base.1;
         let total_drops = nic_drops + switch_drops + self.corrupt_drops;
         let drop_rate_pct = if data_packets == 0 {
             0.0

@@ -3,8 +3,8 @@
 //! Takes the [`Cell`]s of an expanded [`GridSpec`] and runs each one as an
 //! independent simulation across an owned pool of worker threads with a
 //! work-stealing queue. Determinism is structural, not scheduled: a cell's
-//! RNG seed is derived from its parameter key (see
-//! [`crate::grid::derive_cell_seed`]), every simulation is built *inside*
+//! RNG seed is derived from its parameter key (see [`crate::grid`]),
+//! every simulation is built *inside*
 //! the worker that runs it, and nothing flows between cells — so per-cell
 //! results are bit-identical no matter how many workers run the sweep or
 //! which worker picks up which cell. Tests assert `--workers 1` equals

@@ -34,4 +34,4 @@ pub use packet::{
     Arena, ArenaRef, EcnCodepoint, FlowId, Packet, PacketArena, PacketBody, PacketRef, HEADER_BYTES,
 };
 pub use switch::{EnqueueOutcome, SwitchPort, SwitchPortConfig};
-pub use topology::{derive_path_seed, Node, TopoLink, Topology, TopologyKind, TopologySpec};
+pub use topology::{Node, TopoLink, Topology, TopologyKind, TopologySpec};

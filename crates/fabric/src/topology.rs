@@ -11,13 +11,13 @@
 //!
 //! Path choice is deterministic: [`Topology::route`] seeds a private RNG
 //! from the run seed and a canonical `(topology, src, dst, flow)` key via
-//! [`derive_path_seed`] — the same pinned FNV-1a/SplitMix64 scheme the
-//! sweep grid and the chaos driver use — so the path of a given flow is a
-//! pure function of the scenario, bit-identical at any worker count.
+//! `hostcc_sim::derive_seed` — the derivation the sweep grid and the chaos
+//! driver use — so the path of a given flow is a pure function of the
+//! scenario, bit-identical at any worker count.
 
 use std::collections::VecDeque;
 
-use hostcc_sim::Rng;
+use hostcc_sim::{derive_seed, Rng};
 
 /// Endpoint of a topology link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,33 +40,6 @@ pub struct TopoLink {
     pub from: Node,
     /// Destination endpoint.
     pub to: Node,
-}
-
-/// Derive the RNG seed of one ECMP path choice from the run's base seed
-/// and a canonical route key.
-///
-/// This is byte-for-byte the pinned FNV-1a + SplitMix64 scheme the sweep
-/// grid uses for per-cell seeds (`hostcc-experiments::grid::
-/// derive_cell_seed`) and the chaos crate uses for per-event streams —
-/// duplicated here because the dependencies point the other way. The
-/// experiments crate carries a cross-crate consistency test pinning the
-/// implementations to each other.
-pub fn derive_path_seed(base_seed: u64, key: &str) -> u64 {
-    if key.is_empty() {
-        return base_seed;
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let mut z = base_seed ^ h;
-    for _ in 0..2 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-    }
-    z
 }
 
 /// A named multi-switch fabric graph with per-destination routing tables.
@@ -383,13 +356,13 @@ impl Topology {
     /// The deterministic ECMP path of `(src, dst, flow)` under `base_seed`:
     /// the full link id sequence, host uplink first, then one switch-sourced
     /// link per hop down to `dst`. Ties at each hop are broken by a private
-    /// RNG keyed on the canonical route identity via [`derive_path_seed`],
+    /// RNG keyed on the canonical route identity via `derive_seed`,
     /// so the same 5-tuple always takes the same path — independent of call
     /// order, worker count, or any other simulation state.
     pub fn route(&self, src: u32, dst: u32, flow: u32, base_seed: u64) -> Vec<u32> {
         assert!(src < self.hosts && dst < self.hosts && src != dst);
         let key = format!("ecmp:{}:h{src}->h{dst}:flow{flow}", self.name);
-        let mut rng = Rng::new(derive_path_seed(base_seed, &key));
+        let mut rng = Rng::new(derive_seed(base_seed, &key));
         let mut pick = |cands: &[u32]| -> u32 {
             if cands.len() == 1 {
                 cands[0]
@@ -716,11 +689,11 @@ mod tests {
 
     #[test]
     fn path_seed_scheme_is_pinned() {
-        // Empty key passes the base seed through (identity), matching the
-        // grid and chaos derivations.
-        assert_eq!(derive_path_seed(42, ""), 42);
-        assert_ne!(derive_path_seed(1, "x"), derive_path_seed(2, "x"));
-        assert_ne!(derive_path_seed(1, "x"), derive_path_seed(1, "y"));
+        // Path seeds come from the shared derivation: the empty key passes
+        // the base seed through, and distinct inputs give distinct seeds.
+        assert_eq!(derive_seed(42, ""), 42);
+        assert_ne!(derive_seed(1, "x"), derive_seed(2, "x"));
+        assert_ne!(derive_seed(1, "x"), derive_seed(1, "y"));
     }
 
     #[test]

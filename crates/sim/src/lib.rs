@@ -7,7 +7,9 @@
 //! * [`EventQueue`] — a stable (FIFO-on-tie) pending-event set generic over a
 //!   user-defined event payload.
 //! * [`Rng`] — a small, fast, seedable xoshiro256++ generator so that every
-//!   experiment is exactly repeatable from its seed.
+//!   experiment is exactly repeatable from its seed; [`derive_seed`]
+//!   keys independent streams (grid cells, chaos events, ECMP paths) off
+//!   a base seed.
 //! * [`Ewma`] — exponentially-weighted moving averages, used both by the
 //!   simulated DCTCP (`α` with `g = 1/16`) and by hostCC itself
 //!   (`I_S` with weight 1/8, `B_S` with weight 1/256, paper §4.1).
@@ -30,5 +32,5 @@ mod time;
 pub use event::{EventQueue, ScheduledEvent};
 pub use ewma::Ewma;
 pub use rate::Rate;
-pub use rng::Rng;
+pub use rng::{derive_seed, Rng};
 pub use time::Nanos;
