@@ -226,7 +226,16 @@ fn parse_duration(tok: &str) -> Result<Nanos, String> {
     if !v.is_finite() || v < 0.0 {
         return Err(format!("negative or non-finite duration '{tok}'"));
     }
-    Ok(Nanos::from_nanos((v * scale).round() as u64))
+    // `as u64` saturates, so reject before the cast: 2^64 ns is the first
+    // value past the clock's range.
+    let ns = (v * scale).round();
+    if ns >= u64::MAX as f64 {
+        return Err(format!(
+            "duration '{tok}' exceeds the simulated-time limit of {} ns",
+            u64::MAX
+        ));
+    }
+    Ok(Nanos::from_nanos(ns as u64))
 }
 
 fn parse_event(spec: &str) -> Result<ChaosEvent, String> {
@@ -296,6 +305,12 @@ fn parse_event(spec: &str) -> Result<ChaosEvent, String> {
     }
     if duration == Nanos::ZERO {
         return Err(format!("event '{spec}': zero duration"));
+    }
+    if start.checked_add(duration).is_none() {
+        return Err(format!(
+            "event '{spec}': start + duration exceeds the simulated-time limit of {} ns",
+            u64::MAX
+        ));
     }
     kind.validate_magnitude(magnitude)
         .map_err(|e| format!("event '{spec}': {e}"))?;
@@ -605,6 +620,22 @@ mod tests {
             ("flap@2ms+0ns", "zero duration"),
             ("burstloss@2ms:1.5", "out of range"),
             ("pause@2ms:0.2", "out of range"),
+            // Past the clock: the start alone, the duration alone, and a
+            // window end that wraps although both parts fit.
+            (
+                "flap@99999999999999s+1ms",
+                "bad start time: duration '99999999999999s' exceeds the \
+                 simulated-time limit of 18446744073709551615 ns",
+            ),
+            (
+                "flap@1ms+99999999999999s",
+                "duration '99999999999999s' exceeds the simulated-time limit",
+            ),
+            (
+                "flap@18446744073709ms+1s",
+                "start + duration exceeds the simulated-time limit of \
+                 18446744073709551615 ns",
+            ),
         ] {
             let err = ChaosTimeline::parse(spec).unwrap_err();
             assert!(err.contains(needle), "spec '{spec}': {err}");

@@ -48,6 +48,9 @@ pub fn run_chaos(spec: &str, budget: &Budget, workers: usize) -> Result<Resilien
     let mut base = budget.apply(Scenario::with_congestion(3.0).with_rpc(budget.rpc_clients));
     base.record = true;
     base.chaos = Some(spec.to_string());
+    // Link targets are checked against the scenario's fabric here, before
+    // either arm is built, so a bad target is an error and not a panic.
+    base.check_chaos()?;
     let off = base.clone();
     let on = base.clone().enable_hostcc();
 
@@ -260,6 +263,10 @@ mod tests {
     fn timelines_past_the_run_end_are_rejected() {
         let err = run_chaos("flap@40ms+1ms", &Budget::quick(), 1).unwrap_err();
         assert!(err.contains("widen the budget"), "{err}");
+        // A link target on the paper testbed's one implicit link is
+        // rejected before either arm thread starts.
+        let err = run_chaos("flap@link:s0-sw@2ms+1ms", &Budget::quick(), 2).unwrap_err();
+        assert!(err.contains("single implicit link"), "{err}");
     }
 
     #[test]

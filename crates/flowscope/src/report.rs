@@ -2,31 +2,10 @@
 //! their deterministic JSON/CSV/fingerprint encodings.
 
 use hostcc_metrics::Histogram;
-use hostcc_sim::Nanos;
+use hostcc_sim::json::{escape, f64_display, opt};
+use hostcc_sim::{Fnv, Nanos};
 
 use crate::scope::{Stage, STAGE_COUNT};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a(h: &mut u64, v: u64) {
-    for byte in v.to_le_bytes() {
-        *h = (*h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// JSON-safe float rendering (non-finite values become `null`).
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn jopt(v: Option<u64>) -> String {
-    v.map_or("null".to_string(), |n| n.to_string())
-}
 
 /// The packet-lifecycle side of a frozen flowscope window: per-stage and
 /// end-to-end ledgers plus run counters. Merges commutatively (histograms
@@ -107,34 +86,28 @@ impl FlowscopeSummary {
     /// FNV-1a fingerprint over the integer ledgers (exact sums, counts,
     /// min/max) — bit-identical across worker counts and join orders.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv::new();
         for (hist, &total) in self.stage_hist.iter().zip(&self.stage_total_ns) {
-            fnv1a(&mut h, hist.count());
-            fnv1a(&mut h, total);
-            fnv1a(&mut h, hist.min().map_or(u64::MAX, Nanos::as_nanos));
-            fnv1a(&mut h, hist.max().map_or(0, Nanos::as_nanos));
+            h.u64(hist.count())
+                .u64(total)
+                .u64(hist.min().map_or(u64::MAX, Nanos::as_nanos))
+                .u64(hist.max().map_or(0, Nanos::as_nanos));
         }
-        fnv1a(&mut h, self.e2e_hist.count());
-        fnv1a(&mut h, self.e2e_total_ns);
-        fnv1a(
-            &mut h,
-            self.e2e_hist.min().map_or(u64::MAX, Nanos::as_nanos),
-        );
-        fnv1a(&mut h, self.e2e_hist.max().map_or(0, Nanos::as_nanos));
-        fnv1a(&mut h, self.fct_hist.count());
-        fnv1a(
-            &mut h,
-            self.fct_hist.min().map_or(u64::MAX, Nanos::as_nanos),
-        );
-        fnv1a(&mut h, self.fct_hist.max().map_or(0, Nanos::as_nanos));
-        fnv1a(&mut h, self.completed);
-        fnv1a(&mut h, self.conservation_failures);
-        fnv1a(&mut h, self.dropped);
-        fnv1a(&mut h, self.ecn_host);
-        fnv1a(&mut h, self.ecn_fabric);
-        fnv1a(&mut h, self.retransmits);
-        fnv1a(&mut h, self.flows);
-        h
+        h.u64(self.e2e_hist.count())
+            .u64(self.e2e_total_ns)
+            .u64(self.e2e_hist.min().map_or(u64::MAX, Nanos::as_nanos))
+            .u64(self.e2e_hist.max().map_or(0, Nanos::as_nanos))
+            .u64(self.fct_hist.count())
+            .u64(self.fct_hist.min().map_or(u64::MAX, Nanos::as_nanos))
+            .u64(self.fct_hist.max().map_or(0, Nanos::as_nanos))
+            .u64(self.completed)
+            .u64(self.conservation_failures)
+            .u64(self.dropped)
+            .u64(self.ecn_host)
+            .u64(self.ecn_fabric)
+            .u64(self.retransmits)
+            .u64(self.flows);
+        h.finish()
     }
 
     /// Grand total of the per-stage sums. Equal to
@@ -180,20 +153,20 @@ pub struct FlowTableRow {
 }
 
 impl FlowTableRow {
-    fn fold(&self, h: &mut u64) {
-        fnv1a(h, u64::from(self.flow));
-        fnv1a(h, u64::from(self.greedy));
-        fnv1a(h, self.fct_ns.unwrap_or(u64::MAX));
-        fnv1a(h, self.delivered_bytes);
-        fnv1a(h, self.delivered_packets);
-        fnv1a(h, self.drops);
-        fnv1a(h, self.ecn_host);
-        fnv1a(h, self.ecn_fabric);
-        fnv1a(h, self.retransmits);
-        fnv1a(h, self.cwnd_last);
-        fnv1a(h, self.cwnd_min);
-        fnv1a(h, self.cwnd_max);
-        fnv1a(h, self.cwnd_samples);
+    fn fold(&self, h: &mut Fnv) {
+        h.u64(u64::from(self.flow))
+            .u64(u64::from(self.greedy))
+            .u64(self.fct_ns.unwrap_or(u64::MAX))
+            .u64(self.delivered_bytes)
+            .u64(self.delivered_packets)
+            .u64(self.drops)
+            .u64(self.ecn_host)
+            .u64(self.ecn_fabric)
+            .u64(self.retransmits)
+            .u64(self.cwnd_last)
+            .u64(self.cwnd_min)
+            .u64(self.cwnd_max)
+            .u64(self.cwnd_samples);
     }
 
     fn to_json(&self) -> String {
@@ -204,10 +177,10 @@ impl FlowTableRow {
              \"cwnd_last\":{},\"cwnd_min\":{},\"cwnd_max\":{},\"cwnd_samples\":{}}}",
             self.flow,
             self.greedy,
-            jopt(self.fct_ns),
+            opt(self.fct_ns),
             self.delivered_bytes,
             self.delivered_packets,
-            jf(self.goodput_gbps),
+            f64_display(self.goodput_gbps),
             self.drops,
             self.ecn_host,
             self.ecn_fabric,
@@ -244,26 +217,24 @@ pub struct GroupScore {
 }
 
 impl GroupScore {
-    fn fold(&self, h: &mut u64) {
-        for b in self.group.bytes() {
-            *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        fnv1a(h, self.flows);
-        fnv1a(h, self.delivered_bytes);
-        fnv1a(h, self.jain.to_bits());
-        fnv1a(h, self.drops);
-        fnv1a(h, self.retransmits);
+    fn fold(&self, h: &mut Fnv) {
+        h.bytes(self.group.as_bytes())
+            .u64(self.flows)
+            .u64(self.delivered_bytes)
+            .u64(self.jain.to_bits())
+            .u64(self.drops)
+            .u64(self.retransmits);
     }
 
     fn to_json(&self) -> String {
         format!(
             "{{\"group\":\"{}\",\"flows\":{},\"delivered_bytes\":{},\
              \"goodput_gbps\":{},\"jain\":{},\"drops\":{},\"retransmits\":{}}}",
-            self.group,
+            escape(&self.group),
             self.flows,
             self.delivered_bytes,
-            jf(self.goodput_gbps),
-            jf(self.jain),
+            f64_display(self.goodput_gbps),
+            f64_display(self.jain),
             self.drops,
             self.retransmits,
         )
@@ -306,25 +277,24 @@ impl FlowscopeResult {
     /// FNV-1a fingerprint over the summary, every flow row, fairness and
     /// convergence — the bit-identity witness for flows-on runs.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, self.summary.fingerprint());
-        fnv1a(&mut h, self.flows.len() as u64);
+        let mut h = Fnv::new();
+        h.u64(self.summary.fingerprint())
+            .u64(self.flows.len() as u64);
         for row in &self.flows {
             row.fold(&mut h);
         }
-        fnv1a(&mut h, self.groups.len() as u64);
+        h.u64(self.groups.len() as u64);
         for g in &self.groups {
             g.fold(&mut h);
         }
-        fnv1a(&mut h, self.jain.to_bits());
-        fnv1a(&mut h, self.convergence_ns.unwrap_or(u64::MAX));
-        fnv1a(&mut h, self.window.as_nanos());
+        h.u64(self.jain.to_bits())
+            .u64(self.convergence_ns.unwrap_or(u64::MAX))
+            .u64(self.window.as_nanos());
         for &d in &self.drops_after_stage {
-            fnv1a(&mut h, d);
+            h.u64(d);
         }
-        fnv1a(&mut h, self.orphan_stamps);
-        fnv1a(&mut h, self.in_flight);
-        h
+        h.u64(self.orphan_stamps).u64(self.in_flight);
+        h.finish()
     }
 
     /// Whether every delivered packet's stage residencies summed exactly
@@ -349,10 +319,10 @@ impl FlowscopeResult {
                     s.name(),
                     hist.count(),
                     self.summary.stage_total_ns[i],
-                    jopt(hist.mean().map(Nanos::as_nanos)),
-                    jopt(hist.quantile(0.50).map(Nanos::as_nanos)),
-                    jopt(hist.quantile(0.99).map(Nanos::as_nanos)),
-                    jopt(hist.max().map(Nanos::as_nanos)),
+                    opt(hist.mean().map(Nanos::as_nanos)),
+                    opt(hist.quantile(0.50).map(Nanos::as_nanos)),
+                    opt(hist.quantile(0.99).map(Nanos::as_nanos)),
+                    opt(hist.max().map(Nanos::as_nanos)),
                 )
             })
             .collect();
@@ -378,16 +348,16 @@ impl FlowscopeResult {
             self.orphan_stamps,
             self.summary.stage_grand_total_ns(),
             self.summary.e2e_total_ns,
-            jopt(self.summary.e2e_hist.quantile(0.50).map(Nanos::as_nanos)),
-            jopt(self.summary.e2e_hist.quantile(0.99).map(Nanos::as_nanos)),
-            jopt(self.summary.e2e_hist.max().map(Nanos::as_nanos)),
-            jopt(self.summary.fct_hist.quantile(0.50).map(Nanos::as_nanos)),
-            jopt(self.summary.fct_hist.max().map(Nanos::as_nanos)),
+            opt(self.summary.e2e_hist.quantile(0.50).map(Nanos::as_nanos)),
+            opt(self.summary.e2e_hist.quantile(0.99).map(Nanos::as_nanos)),
+            opt(self.summary.e2e_hist.max().map(Nanos::as_nanos)),
+            opt(self.summary.fct_hist.quantile(0.50).map(Nanos::as_nanos)),
+            opt(self.summary.fct_hist.max().map(Nanos::as_nanos)),
             self.summary.ecn_host,
             self.summary.ecn_fabric,
             self.summary.retransmits,
-            jf(self.jain),
-            jopt(self.convergence_ns),
+            f64_display(self.jain),
+            opt(self.convergence_ns),
             stages.join(","),
             drops.join(","),
             groups.join(","),
@@ -407,7 +377,7 @@ impl FlowscopeResult {
                 r.fct_ns.map_or(String::new(), |v| v.to_string()),
                 r.delivered_bytes,
                 r.delivered_packets,
-                jf(r.goodput_gbps),
+                f64_display(r.goodput_gbps),
                 r.drops,
                 r.ecn_host,
                 r.ecn_fabric,
@@ -506,6 +476,7 @@ impl FlowscopeResult {
 mod tests {
     use super::*;
     use crate::scope::FlowScope;
+    use hostcc_sim::json::JsonValue;
 
     fn ns(v: u64) -> Nanos {
         Nanos::from_nanos(v)
@@ -572,6 +543,15 @@ mod tests {
         }
         assert_eq!(j.matches("\"name\":").count(), STAGE_COUNT);
         assert!(r.conservation_holds());
+        let v = JsonValue::parse(&j).unwrap();
+        let stages = v.get("stages").and_then(JsonValue::as_arr).unwrap();
+        assert_eq!(stages.len(), STAGE_COUNT);
+        let flows = v.get("flows").and_then(JsonValue::as_arr).unwrap();
+        assert_eq!(flows.len(), r.flows.len());
+        assert_eq!(
+            v.get("e2e_total_ns").and_then(JsonValue::as_u64),
+            Some(r.summary.e2e_total_ns)
+        );
     }
 
     #[test]

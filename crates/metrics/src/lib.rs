@@ -27,6 +27,9 @@ mod timeseries;
 pub use cdf::Cdf;
 pub use counter::Counter;
 pub use histogram::Histogram;
+/// The workspace hasher and JSON codec, re-exported for crates that reach
+/// `hostcc-sim` only through this one (`hostcc-matchup`).
+pub use hostcc_sim::{json, Fnv};
 pub use meter::Meter;
 pub use table::{f2, pct, Table};
 pub use timeseries::TimeSeries;

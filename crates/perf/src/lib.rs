@@ -43,14 +43,13 @@
 #![warn(missing_docs)]
 
 mod alloc;
-mod json;
 mod profile;
 mod report;
 
 #[cfg(feature = "alloc-profile")]
 pub use alloc::CountingAllocator;
 pub use alloc::{alloc_stats, reset_alloc_peak, AllocStats};
-pub use json::JsonValue;
+pub use hostcc_trace::json::JsonValue;
 pub use profile::{PerfHandle, PerfProfiler, PerfReport, PerfScope, Subsystem};
 pub use report::{
     compare, compare_gated, BenchComparison, BenchDelta, BenchReport, BenchWorkload, HostMeta,

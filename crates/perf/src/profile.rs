@@ -17,6 +17,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Instant;
 
+use hostcc_trace::json::{self, JsonValue};
+
 /// One attribution bucket: an event-dispatch kind or a host-tick phase.
 ///
 /// The discriminants index the fixed-size count/nanosecond arrays in
@@ -417,7 +419,7 @@ impl PerfReport {
                     "\"{}\": {{\"ns\": {}, \"frac\": {}}}",
                     s.name(),
                     ns,
-                    crate::json::fmt_f64(ns as f64 / total)
+                    json::f64_debug(ns as f64 / total)
                 )
             })
             .collect();
@@ -437,7 +439,7 @@ impl PerfReport {
              \"max_depth\": {}, \"subsystems\": {{{}}}, \"scopes\": {{{}}}}}",
             self.total_ns,
             self.attributed_ns(),
-            crate::json::fmt_f64(self.attributed_frac()),
+            json::f64_debug(self.attributed_frac()),
             self.max_depth,
             subsystems.join(", "),
             scopes.join(", "),
@@ -445,7 +447,7 @@ impl PerfReport {
     }
 
     /// Parse a report back out of [`PerfReport::to_json`] output.
-    pub fn from_json(v: &crate::json::JsonValue) -> Result<PerfReport, String> {
+    pub fn from_json(v: &JsonValue) -> Result<PerfReport, String> {
         let mut r = PerfReport {
             total_ns: v
                 .get("total_ns")
@@ -603,7 +605,7 @@ mod tests {
         s.exit(20);
         let r = s.report();
         let json = r.to_json();
-        let v = crate::json::JsonValue::parse(&json).unwrap();
+        let v = JsonValue::parse(&json).unwrap();
         let back = PerfReport::from_json(&v).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.to_json(), json);

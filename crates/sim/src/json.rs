@@ -1,6 +1,12 @@
-//! A minimal JSON reader (and `f64` writer) so `repro bench --compare`
-//! can load prior `BENCH_*.json` files without pulling `serde` into an
-//! offline, registry-free workspace.
+//! The workspace's one JSON codec: a minimal reader ([`JsonValue`]) and
+//! the value writers every hand-assembled report uses, so the workspace
+//! needs no `serde` and stays offline and registry-free.
+//!
+//! Writers: [`escape`] for string bodies, [`opt`] for optional counters
+//! and two float forms — [`f64_debug`] (`{v:?}`: `1.0`, `1e-7`) and
+//! [`f64_display`] (`{v}`: `1`, `0.0000001`). Both forms parse back to
+//! the identical bits; each report keeps the form it has always written,
+//! because its bytes are pinned. Non-finite floats write `null`.
 //!
 //! The parser is a plain recursive-descent over the JSON grammar:
 //! objects, arrays, strings (with the standard escapes incl. `\u`),
@@ -111,9 +117,9 @@ impl JsonValue {
 }
 
 /// Render an `f64` so that parsing it back yields the identical bits:
-/// Rust's `{:?}` shortest-round-trip repr, with non-finite values mapped
-/// to `null` (JSON has no NaN/inf).
-pub(crate) fn fmt_f64(v: f64) -> String {
+/// Rust's `{:?}` shortest-round-trip repr (`1.0`, `1e-7`), with
+/// non-finite values mapped to `null` (JSON has no NaN/inf).
+pub fn f64_debug(v: f64) -> String {
     if v.is_finite() {
         format!("{v:?}")
     } else {
@@ -121,8 +127,24 @@ pub(crate) fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// Render an `f64` in Rust's `{}` form (`1`, `0.0000001`): also the
+/// shortest round-trip digits, never in exponent notation; non-finite
+/// values become `null`.
+pub fn f64_display(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// Render an optional counter: the number, or `null`.
+pub fn opt(v: Option<u64>) -> String {
+    v.map_or_else(|| "null".to_string(), |n| n.to_string())
+}
+
 /// Escape a string for embedding in a JSON document (adds no quotes).
-pub(crate) fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -344,12 +366,25 @@ mod tests {
             f64::MIN_POSITIVE,
             -9.87e-300,
         ] {
-            let text = fmt_f64(v);
-            let back = JsonValue::parse(&text).unwrap().as_f64().unwrap();
-            assert_eq!(back.to_bits(), v.to_bits(), "{text}");
+            for text in [f64_debug(v), f64_display(v)] {
+                let back = JsonValue::parse(&text).unwrap().as_f64().unwrap();
+                assert_eq!(back.to_bits(), v.to_bits(), "{text}");
+            }
         }
-        assert_eq!(fmt_f64(f64::NAN), "null");
-        assert_eq!(fmt_f64(f64::INFINITY), "null");
+        assert_eq!(f64_debug(f64::INFINITY), "null");
+        assert_eq!(f64_display(f64::NEG_INFINITY), "null");
+    }
+
+    #[test]
+    fn the_two_float_forms_are_pinned() {
+        assert_eq!(f64_debug(1.0), "1.0");
+        assert_eq!(f64_debug(1e-7), "1e-7");
+        assert_eq!(f64_debug(f64::NAN), "null");
+        assert_eq!(f64_display(1.0), "1");
+        assert_eq!(f64_display(1e-7), "0.0000001");
+        assert_eq!(f64_display(f64::NAN), "null");
+        assert_eq!(opt(Some(7)), "7");
+        assert_eq!(opt(None), "null");
     }
 
     #[test]

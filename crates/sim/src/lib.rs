@@ -14,6 +14,8 @@
 //!   simulated DCTCP (`α` with `g = 1/16`) and by hostCC itself
 //!   (`I_S` with weight 1/8, `B_S` with weight 1/256, paper §4.1).
 //! * [`Rate`] — bandwidth arithmetic in bytes/ns with Gbps/GBps conversions.
+//! * [`Fnv`] and [`json`] — the one FNV-1a hasher and the one JSON codec
+//!   behind every fingerprint and report in the workspace.
 //!
 //! The engine is single-threaded on purpose: the hostCC experiments need a
 //! single logical clock across the host substrate, the fabric and the
@@ -25,12 +27,15 @@
 
 mod event;
 mod ewma;
+mod fnv;
+pub mod json;
 mod rate;
 mod rng;
 mod time;
 
 pub use event::{EventQueue, ScheduledEvent};
 pub use ewma::Ewma;
+pub use fnv::Fnv;
 pub use rate::Rate;
 pub use rng::{derive_seed, Rng};
 pub use time::Nanos;

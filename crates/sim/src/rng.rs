@@ -5,6 +5,8 @@
 //! is pinned by this crate alone and cannot drift across `rand` major
 //! versions.
 
+use crate::Fnv;
+
 /// Deterministic xoshiro256++ generator, seeded via SplitMix64.
 ///
 /// Not cryptographic. Passes BigCrush per its authors (Blackman & Vigna),
@@ -40,11 +42,7 @@ pub fn derive_seed(base_seed: u64, key: &str) -> u64 {
     if key.is_empty() {
         return base_seed;
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let mut z = base_seed ^ h;
+    let mut z = base_seed ^ Fnv::new().bytes(key.as_bytes()).finish();
     for _ in 0..2 {
         z = splitmix64(&mut z);
     }

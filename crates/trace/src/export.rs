@@ -2,11 +2,14 @@
 //! and compact JSONL for scripted analysis.
 //!
 //! JSON is emitted by hand: every name in the taxonomy is a static
-//! identifier and every value a finite number or fixed keyword, so the
-//! writer needs no escaping and the workspace needs no serializer
-//! dependency (tier-1 verify runs without registry access).
+//! identifier and every value a number or fixed keyword, so the writer
+//! needs no escaping; floats go through [`hostcc_sim::json`] (`{v}` form,
+//! non-finite as `null`) and the workspace needs no serializer dependency
+//! (tier-1 verify runs without registry access).
 
 use std::io::{self, Write};
+
+use hostcc_sim::json::f64_display;
 
 use crate::event::{TraceEvent, TraceKind};
 use crate::tracer::Tracer;
@@ -90,12 +93,12 @@ fn render_event(ev: &TraceEvent) -> (&'static str, String, String) {
         TraceEvent::IioOccupancy { cachelines } => (
             "C",
             kind.name().to_string(),
-            format!("\"cachelines\":{cachelines}"),
+            format!("\"cachelines\":{}", f64_display(cachelines)),
         ),
         TraceEvent::DdioEviction { fraction } => (
             "C",
             kind.name().to_string(),
-            format!("\"fraction\":{fraction}"),
+            format!("\"fraction\":{}", f64_display(fraction)),
         ),
         TraceEvent::MbaRequest { level } => {
             ("i", kind.name().to_string(), format!("\"level\":{level}"))
@@ -110,7 +113,11 @@ fn render_event(ev: &TraceEvent) -> (&'static str, String, String) {
         } => (
             "C",
             "hostcc_signals".to_string(),
-            format!("\"is\":{is},\"bs_gbps\":{bs_gbps},\"read_ns\":{read_ns}"),
+            format!(
+                "\"is\":{},\"bs_gbps\":{},\"read_ns\":{read_ns}",
+                f64_display(is),
+                f64_display(bs_gbps)
+            ),
         ),
         TraceEvent::RegimeChange { regime } => {
             ("C", kind.name().to_string(), format!("\"regime\":{regime}"))
@@ -170,133 +177,8 @@ mod tests {
     use super::*;
     use crate::event::DropLocus;
     use crate::tracer::TraceFilter;
+    use hostcc_sim::json::JsonValue;
     use hostcc_sim::Nanos;
-
-    /// Minimal recursive-descent JSON syntax checker — enough to assert
-    /// the exporters emit well-formed documents without a JSON dependency.
-    mod json {
-        pub fn validate(s: &str) -> Result<(), String> {
-            let b = s.as_bytes();
-            let mut i = 0;
-            skip_ws(b, &mut i);
-            value(b, &mut i)?;
-            skip_ws(b, &mut i);
-            if i != b.len() {
-                return Err(format!("trailing garbage at byte {i}"));
-            }
-            Ok(())
-        }
-
-        fn skip_ws(b: &[u8], i: &mut usize) {
-            while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-                *i += 1;
-            }
-        }
-
-        fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-            match b.get(*i) {
-                Some(b'{') => object(b, i),
-                Some(b'[') => array(b, i),
-                Some(b'"') => string(b, i),
-                Some(b't') => literal(b, i, "true"),
-                Some(b'f') => literal(b, i, "false"),
-                Some(b'n') => literal(b, i, "null"),
-                Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-                other => Err(format!("unexpected {other:?} at byte {i}")),
-            }
-        }
-
-        fn literal(b: &[u8], i: &mut usize, lit: &str) -> Result<(), String> {
-            if b[*i..].starts_with(lit.as_bytes()) {
-                *i += lit.len();
-                Ok(())
-            } else {
-                Err(format!("bad literal at byte {i}"))
-            }
-        }
-
-        fn number(b: &[u8], i: &mut usize) -> Result<(), String> {
-            let start = *i;
-            if b.get(*i) == Some(&b'-') {
-                *i += 1;
-            }
-            while *i < b.len()
-                && (b[*i].is_ascii_digit() || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-            {
-                *i += 1;
-            }
-            let tok = std::str::from_utf8(&b[start..*i]).unwrap();
-            tok.parse::<f64>()
-                .map(|_| ())
-                .map_err(|_| format!("bad number '{tok}' at byte {start}"))
-        }
-
-        fn string(b: &[u8], i: &mut usize) -> Result<(), String> {
-            *i += 1; // opening quote
-            while *i < b.len() {
-                match b[*i] {
-                    b'"' => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    b'\\' => *i += 2,
-                    _ => *i += 1,
-                }
-            }
-            Err("unterminated string".into())
-        }
-
-        fn object(b: &[u8], i: &mut usize) -> Result<(), String> {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, i);
-                string(b, i)?;
-                skip_ws(b, i);
-                if b.get(*i) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {i}"));
-                }
-                *i += 1;
-                skip_ws(b, i);
-                value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                }
-            }
-        }
-
-        fn array(b: &[u8], i: &mut usize) -> Result<(), String> {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, i);
-                value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    other => return Err(format!("expected ',' or ']', got {other:?}")),
-                }
-            }
-        }
-    }
 
     fn populated_tracer() -> Tracer {
         let mut t = Tracer::new(1024, TraceFilter::all());
@@ -376,7 +258,7 @@ mod tests {
         let mut out = Vec::new();
         write_chrome_trace(&t, &mut out).unwrap();
         let s = String::from_utf8(out).unwrap();
-        json::validate(&s).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{s}"));
+        JsonValue::parse(&s).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{s}"));
         for cat in TraceKind::categories() {
             assert!(
                 s.contains(&format!("\"cat\":\"{cat}\"")),
@@ -397,7 +279,7 @@ mod tests {
         let lines: Vec<_> = s.lines().collect();
         assert_eq!(lines.len(), t.len());
         for line in lines {
-            json::validate(line).unwrap_or_else(|e| panic!("invalid JSONL line: {e}\n{line}"));
+            JsonValue::parse(line).unwrap_or_else(|e| panic!("invalid JSONL line: {e}\n{line}"));
         }
         assert!(s.contains("\"kind\":\"packet_drop\""));
         assert!(s.contains("\"locus\":\"nic\""));
@@ -408,7 +290,7 @@ mod tests {
         let t = Tracer::new(4, TraceFilter::all());
         let mut out = Vec::new();
         write_chrome_trace(&t, &mut out).unwrap();
-        json::validate(std::str::from_utf8(&out).unwrap()).unwrap();
+        JsonValue::parse(std::str::from_utf8(&out).unwrap()).unwrap();
         let mut out = Vec::new();
         write_jsonl(&t, &mut out).unwrap();
         assert!(out.is_empty());

@@ -58,6 +58,9 @@ mod tracer;
 
 pub use event::{DropLocus, TraceEvent, TraceKind};
 pub use export::{write_chrome_trace, write_jsonl};
+/// The workspace JSON codec, re-exported for crates that reach
+/// `hostcc-sim` only through this one (`hostcc-perf`).
+pub use hostcc_sim::json;
 pub use profile::{SimRateProfiler, SimRateReport};
 pub use tracer::{
     TraceCounts, TraceFilter, TraceHandle, TraceRecord, Tracer, DEFAULT_TRACE_CAPACITY,

@@ -8,6 +8,7 @@
 
 use std::time::Instant;
 
+use hostcc_sim::json::f64_debug;
 use hostcc_sim::Nanos;
 
 /// An in-flight measurement; [`SimRateProfiler::finish`] closes it.
@@ -93,12 +94,12 @@ impl SimRateReport {
             "{{\"wall_secs\": {}, \"events\": {}, \"sim_ns\": {}, \
              \"events_per_sec\": {}, \"sim_ns_per_wall_sec\": {}, \
              \"wall_us_per_sim_ms\": {}}}",
-            fmt_f64(self.wall_secs),
+            f64_debug(self.wall_secs),
             self.events,
             self.sim_ns,
-            fmt_f64(self.events_per_sec()),
-            fmt_f64(self.sim_ns_per_wall_sec()),
-            fmt_f64(self.wall_us_per_sim_ms()),
+            f64_debug(self.events_per_sec()),
+            f64_debug(self.sim_ns_per_wall_sec()),
+            f64_debug(self.wall_us_per_sim_ms()),
         )
     }
 
@@ -112,15 +113,6 @@ impl SimRateReport {
             self.sim_ns as f64 / 1e6,
             self.wall_us_per_sim_ms(),
         )
-    }
-}
-
-/// Shortest round-trip float rendering; non-finite values become `null`.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
     }
 }
 
