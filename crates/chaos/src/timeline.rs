@@ -208,16 +208,21 @@ impl ChaosEvent {
 }
 
 /// Parse a duration literal: `<number><ns|us|ms|s>`.
-fn parse_duration(tok: &str) -> Result<Nanos, String> {
-    let (num, scale) = if let Some(v) = tok.strip_suffix("ns") {
-        (v, 1.0)
+/// Split a duration token into its number and its unit's scale in ns.
+fn split_unit(tok: &str) -> Option<(&str, f64)> {
+    if let Some(v) = tok.strip_suffix("ns") {
+        Some((v, 1.0))
     } else if let Some(v) = tok.strip_suffix("us") {
-        (v, 1e3)
+        Some((v, 1e3))
     } else if let Some(v) = tok.strip_suffix("ms") {
-        (v, 1e6)
-    } else if let Some(v) = tok.strip_suffix('s') {
-        (v, 1e9)
+        Some((v, 1e6))
     } else {
+        tok.strip_suffix('s').map(|v| (v, 1e9))
+    }
+}
+
+fn parse_duration(tok: &str) -> Result<Nanos, String> {
+    let Some((num, scale)) = split_unit(tok) else {
         return Err(format!("'{tok}' has no duration unit (ns/us/ms/s)"));
     };
     let v: f64 = num
@@ -295,8 +300,10 @@ fn parse_event(spec: &str) -> Result<ChaosEvent, String> {
                 .parse::<f64>()
                 .map_err(|_| format!("event '{spec}': bad percentage '{tok}'"))?
                 / 100.0;
-        } else if let Ok(d) = parse_duration(tok) {
-            duration = d;
+        } else if split_unit(tok).is_some_and(|(num, _)| num.parse::<f64>().is_ok()) {
+            // A number with a unit is a duration: report why it is not a
+            // valid one (negative, or past the clock's range).
+            duration = parse_duration(tok).map_err(|e| format!("event '{spec}': {e}"))?;
         } else {
             magnitude = tok.parse::<f64>().map_err(|_| {
                 format!("event '{spec}': '{tok}' is neither a number, a percentage, nor a duration")
@@ -630,6 +637,19 @@ mod tests {
             (
                 "flap@1ms+99999999999999s",
                 "duration '99999999999999s' exceeds the simulated-time limit",
+            ),
+            (
+                "flap@1ms:99999999999999s",
+                "duration '99999999999999s' exceeds the simulated-time limit of \
+                 18446744073709551615 ns",
+            ),
+            (
+                "degrade@2ms:30%:-1ms",
+                "negative or non-finite duration '-1ms'",
+            ),
+            (
+                "flap@2ms:bananas",
+                "'bananas' is neither a number, a percentage, nor a duration",
             ),
             (
                 "flap@18446744073709ms+1s",

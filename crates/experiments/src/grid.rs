@@ -809,15 +809,24 @@ impl GridSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::Budget;
 
     #[test]
     fn presets_all_resolve_and_expand() {
+        // At the presets' own windows and at both CLI budgets: every
+        // preset's chaos timeline must end within the shortest run.
+        let budgets = [None, Some(Budget::standard()), Some(Budget::quick())];
         for &(_, name, _) in GridSpec::presets() {
-            let spec = GridSpec::preset(name).unwrap_or_else(|| panic!("preset {name}"));
-            let cells = spec.expand().unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(cells.len(), spec.cell_count(), "{name}");
-            for c in &cells {
-                c.scenario.validate();
+            for budget in &budgets {
+                let mut spec = GridSpec::preset(name).unwrap_or_else(|| panic!("preset {name}"));
+                if let Some(b) = budget {
+                    spec.base = b.apply(spec.base);
+                }
+                let cells = spec.expand().unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(cells.len(), spec.cell_count(), "{name}");
+                for c in &cells {
+                    c.scenario.validate();
+                }
             }
         }
         assert!(GridSpec::preset("nope").is_none());
@@ -1007,6 +1016,25 @@ mod tests {
         // Bad specs are rejected at axis-parse time, not deep in a worker.
         let err = g.set_axis("chaos", "zap@2ms").unwrap_err();
         assert!(err.contains("off"), "{err}");
+    }
+
+    #[test]
+    fn chaos_past_the_run_end_is_rejected_per_cell() {
+        // The fault window opens long after a quick run ends: the cell
+        // would read like an unfaulted run, so expansion refuses it.
+        let mut g = GridSpec::new("late", Budget::quick().apply(Scenario::paper_baseline()));
+        g.set_axis("chaos", "off,flap@300ms+1ms").unwrap();
+        let err = g.expand().unwrap_err();
+        assert!(err.contains("cell 'chaos=flap@300ms+1ms'"), "{err}");
+        assert!(
+            err.contains("extends to 301000000 ns but the run ends at 7000000 ns"),
+            "{err}"
+        );
+        assert!(err.contains("widen the budget"), "{err}");
+        // Ending exactly at the run end is still inside the run.
+        g.set_axis("chaos", "flap@6ms+1ms").unwrap();
+        g.expand()
+            .expect("a timeline ending at the run end expands");
     }
 
     #[test]

@@ -35,22 +35,14 @@ const RECOVERY_FRACTION: f64 = 0.9;
 /// each arm is an independent simulation built from its own scenario.
 pub fn run_chaos(spec: &str, budget: &Budget, workers: usize) -> Result<ResilienceReport, String> {
     let timeline = ChaosTimeline::resolve(spec)?;
-    let window_end = budget.warmup + budget.measure;
-    if timeline.end() > window_end {
-        return Err(format!(
-            "chaos timeline extends to {} ns but the run ends at {} ns — \
-             widen the budget or move the events earlier",
-            timeline.end().as_nanos(),
-            window_end.as_nanos()
-        ));
-    }
-
     let mut base = budget.apply(Scenario::with_congestion(3.0).with_rpc(budget.rpc_clients));
     base.record = true;
     base.chaos = Some(spec.to_string());
-    // Link targets are checked against the scenario's fabric here, before
-    // either arm is built, so a bad target is an error and not a panic.
+    // Link targets and the run horizon are checked against the scenario
+    // here, before either arm is built, so a bad target is an error and
+    // not a panic, and a late fault is an error and not a clean run.
     base.check_chaos()?;
+    let window_end = base.warmup + base.measure;
     let off = base.clone();
     let on = base.clone().enable_hostcc();
 

@@ -549,11 +549,12 @@ impl Scenario {
         (topology, chaos)
     }
 
-    /// Check the chaos spec (syntax plus link-target resolution against
-    /// this scenario's topology), reporting failures as values — the
-    /// graceful surface `GridSpec::expand` and the CLI use, so a bad
-    /// `@link:` target lists the valid names instead of panicking deep in a
-    /// sweep worker.
+    /// Check the chaos spec (syntax, link-target resolution against this
+    /// scenario's topology, and that every event ends within the run),
+    /// reporting failures as values — the graceful surface
+    /// `GridSpec::expand` and the CLI use, so a bad `@link:` target lists
+    /// the valid names instead of panicking deep in a sweep worker, and a
+    /// fault that could never fire is not run as an unfaulted cell.
     pub fn check_chaos(&self) -> Result<(), String> {
         // Only link targets need the graph, so build it only under chaos.
         let topology = self
@@ -561,7 +562,19 @@ impl Scenario {
             .as_ref()
             .and(self.topology.as_ref())
             .map(TopologySpec::build);
-        self.resolve_chaos(topology.as_ref()).map(drop)
+        let Some(timeline) = self.resolve_chaos(topology.as_ref())? else {
+            return Ok(());
+        };
+        let run_end = self.warmup + self.measure;
+        if timeline.end() > run_end {
+            return Err(format!(
+                "chaos timeline extends to {} ns but the run ends at {} ns — \
+                 widen the budget or move the events earlier",
+                timeline.end().as_nanos(),
+                run_end.as_nanos()
+            ));
+        }
+        Ok(())
     }
 
     /// Resolve the chaos spec and check its link targets against

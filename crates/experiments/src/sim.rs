@@ -293,6 +293,16 @@ pub struct Simulation {
     /// still observe the signals (Fig 2, 8).
     monitor: SignalSampler,
     flows: Vec<Flow>,
+    /// When each flow next needs the tick's flow phase: its earliest armed
+    /// timer (`Flow::next_deadline`, `Nanos::MAX` when none), re-read after
+    /// every call that can move it (an ACK, a pump, a timer check), or
+    /// `Nanos::ZERO` while it is dirty — its send readiness changed outside
+    /// an ACK (created, an RPC message queued, the application stopped).
+    deadlines: Vec<Nanos>,
+    /// A lower bound on `deadlines`: no flow is due before it.
+    next_deadline: Nanos,
+    /// Phase-7 flow visits (timer check plus pump); outside every result.
+    flow_polls: u64,
     recvs: Vec<Receiver>,
     sender_of_flow: Vec<usize>,
     /// Per-flow reverse-path delay: the base `ack_delay` with a small
@@ -312,6 +322,9 @@ pub struct Simulation {
     flow_goodput: Vec<u64>,
     copied_carry: f64,
     last_advertised_rwnd: Vec<u64>,
+    /// Flows (ascending) whose last advertised window may be below one
+    /// MSS: the only candidates for a window-update ACK.
+    rwnd_closed: Vec<usize>,
     stats_base: Vec<FlowStats>,
     fabric_base: (u64, u64, u64), // drops, marks, forwarded
     level_sum: f64,
@@ -523,6 +536,10 @@ impl Simulation {
             echo: EcnEcho::new(),
             monitor,
             flows,
+            // Every flow starts dirty.
+            deadlines: vec![Nanos::ZERO; n_flows],
+            next_deadline: Nanos::ZERO,
+            flow_polls: 0,
             recvs,
             sender_of_flow,
             ack_delay_of_flow,
@@ -534,6 +551,7 @@ impl Simulation {
             flow_goodput: vec![0; n_flows],
             copied_carry: 0.0,
             last_advertised_rwnd: vec![u64::MAX; n_flows],
+            rwnd_closed: Vec::new(),
             stats_base: vec![FlowStats::default(); n_flows],
             fabric_base: (0, 0, 0),
             level_sum: 0.0,
@@ -638,6 +656,13 @@ impl Simulation {
     /// profiling; monotone across warm-up and measurement).
     pub fn events_processed(&self) -> u64 {
         self.q.popped()
+    }
+
+    /// Flow visits made by the tick's flow phase so far: one per flow
+    /// whose timers were checked and send queue drained. Deterministic,
+    /// and outside every result fingerprint.
+    pub fn flow_polls(&self) -> u64 {
+        self.flow_polls
     }
 
     /// Deterministic per-kind trace counts, if tracing is enabled.
@@ -823,6 +848,11 @@ impl Simulation {
                     ack.rwnd = self.recvs[idx].rwnd();
                 }
                 self.last_advertised_rwnd[idx] = ack.rwnd;
+                if ack.rwnd < self.cfg.mss() {
+                    if let Err(at) = self.rwnd_closed.binary_search(&idx) {
+                        self.rwnd_closed.insert(at, idx);
+                    }
+                }
                 for c in self.recvs[idx].take_completed() {
                     for (fi, rpc) in &mut self.rpcs {
                         if *fi == idx {
@@ -849,6 +879,7 @@ impl Simulation {
                 let idx = flow as usize;
                 self.flows[idx].on_ack_sack(now, m.cum, m.ece, m.rwnd, &m.sack);
                 self.pump_flow(idx, now);
+                self.refresh_deadline(idx);
             }
             Ev::Chaos { inj } => self.handle_chaos(now, inj as usize),
         }
@@ -1131,8 +1162,10 @@ impl Simulation {
         // Network demand ending (policy-layer studies).
         if let Some(stop) = self.cfg.net_stop {
             if !self.net_stopped && now >= stop {
-                for &i in &self.greedy {
+                for k in 0..self.greedy.len() {
+                    let i = self.greedy[k];
                     self.flows[i].stop_app();
+                    self.mark_dirty(i);
                 }
                 self.net_stopped = true;
             }
@@ -1245,9 +1278,11 @@ impl Simulation {
 
         // 5. Receive-window reopening: if a flow's advertised window was
         //    closed below one MSS and the application has since drained the
-        //    socket, send a window update (Linux does the same).
+        //    socket, send a window update (Linux does the same). Only flows
+        //    in `rwnd_closed` can qualify.
         let mss = self.cfg.mss();
-        for i in 0..self.recvs.len() {
+        let mut closed = std::mem::take(&mut self.rwnd_closed);
+        for &i in &closed {
             let rwnd = self.recvs[i].rwnd();
             if self.last_advertised_rwnd[i] < mss && rwnd >= mss {
                 self.last_advertised_rwnd[i] = rwnd;
@@ -1266,6 +1301,8 @@ impl Simulation {
                 );
             }
         }
+        closed.retain(|&i| self.last_advertised_rwnd[i] < mss);
+        self.rwnd_closed = closed;
         self.perf.exit();
 
         // 6. Monitoring sampler (independent of hostCC).
@@ -1301,18 +1338,52 @@ impl Simulation {
         // 7. Workloads and flow timers.
         self.perf.enter(PerfScope::TickWorkload);
         for k in 0..self.rpcs.len() {
-            let (idx, _) = self.rpcs[k];
-            let (_, rpc) = &mut self.rpcs[k];
-            let flow = &mut self.flows[idx];
-            rpc.maybe_send(now, flow);
+            let (idx, rpc) = &mut self.rpcs[k];
+            let idx = *idx;
+            if rpc.maybe_send(now, &mut self.flows[idx]) {
+                self.mark_dirty(idx);
+            }
         }
         self.perf.exit();
         self.perf.enter(PerfScope::TickTransport);
-        for i in 0..self.flows.len() {
-            self.flows[i].on_tick(now);
-            self.pump_flow(i, now);
-        }
+        self.poll_due_flows(now);
         self.perf.exit();
+    }
+
+    /// Re-read flow `idx`'s timer deadline into the cache.
+    fn refresh_deadline(&mut self, idx: usize) {
+        let at = self.flows[idx].next_deadline().unwrap_or(Nanos::MAX);
+        self.deadlines[idx] = at;
+        self.next_deadline = self.next_deadline.min(at);
+    }
+
+    /// Have the flow phase poll flow `idx` at this tick. Marks are made
+    /// inside `tick` before phase 7, which clears them, so no ACK can
+    /// overwrite one.
+    fn mark_dirty(&mut self, idx: usize) {
+        self.deadlines[idx] = Nanos::ZERO;
+        self.next_deadline = Nanos::ZERO;
+    }
+
+    /// Phase 7: check the timers and drain the send queue of every flow
+    /// that can act at `now` (dirty, or its deadline has passed), in
+    /// ascending flow index. Any other flow's `on_tick` is a no-op and its
+    /// `poll_send` returns `None` (pinned by the `flow.rs` readiness
+    /// tests), so the run is bit-identical to polling every flow.
+    fn poll_due_flows(&mut self, now: Nanos) {
+        if now < self.next_deadline {
+            return;
+        }
+        for i in 0..self.flows.len() {
+            if self.deadlines[i] <= now {
+                self.flows[i].on_tick(now);
+                self.pump_flow(i, now);
+                self.refresh_deadline(i);
+                self.flow_polls += 1;
+            }
+        }
+        // The polled deadlines may have moved later: take the exact minimum.
+        self.next_deadline = self.deadlines.iter().copied().min().unwrap_or(Nanos::MAX);
     }
 
     /// Cumulative (drops, marks, forwarded) across the fabric's egress
@@ -1713,6 +1784,54 @@ mod tests {
         assert_eq!(a.goodput.as_gbps(), b.goodput.as_gbps());
         assert_eq!(a.nic_drops, b.nic_drops);
         assert_eq!(a.data_packets, b.data_packets);
+    }
+
+    #[test]
+    fn flow_phase_polls_only_flows_that_can_act() {
+        let s = crate::figures::Budget::quick().apply(Scenario::paper_baseline());
+        let ticks = (s.warmup + s.measure).as_nanos() / s.host.tick.as_nanos();
+        let flows = s.total_greedy_flows() as u64;
+        let mut sim = Simulation::new(s);
+        let r = sim.run();
+        assert!(r.data_packets > 0);
+        // Polling every flow on every tick would make ticks × flows visits;
+        // ACK-clocked greedy flows are polled at creation and not again.
+        assert!(flows > 1);
+        assert!(
+            (flows..ticks).contains(&sim.flow_polls()),
+            "{} polls over {ticks} ticks",
+            sim.flow_polls()
+        );
+    }
+
+    #[test]
+    fn flow_timers_fire_from_cached_deadlines() {
+        // A 12 ms sender-link blackout (packets queue behind the down
+        // link) outlasts the 10 ms tail-loss-probe floor: no ACK arrives
+        // for longer than the probe timeout, so each flow's TLP fires, and
+        // only the deadline cached from the flow's last ACK can find it.
+        let mut s = Scenario::paper_baseline();
+        s.warmup = Nanos::from_millis(1);
+        s.measure = Nanos::from_millis(24);
+        s.chaos = Some("flap@1ms+12ms".to_string());
+        let flows = s.total_greedy_flows() as u64;
+        let mut sim = Simulation::new(s);
+        let r = sim.run();
+        assert_eq!(r.tlp_probes, flows, "one probe per stalled flow");
+        // One visit per flow at creation, one per fired probe.
+        assert_eq!(sim.flow_polls(), flows + r.tlp_probes);
+    }
+
+    #[test]
+    fn closed_receive_windows_reopen_by_window_update() {
+        // A socket buffer of one and a half segments: each delivered
+        // segment closes the advertised window below one MSS until the
+        // application reads it. Nothing is then in flight, so no ACK or
+        // timer can wake the sender; only phase 5's window update can.
+        let mut s = Scenario::with_congestion(3.0);
+        s.rcv_buf = s.mss() * 3 / 2;
+        let r = quick(s);
+        assert!(r.goodput_gbps() > 1.0, "{:.2} Gbps", r.goodput_gbps());
     }
 
     fn quick_traced(mut s: Scenario) -> RunResult {

@@ -855,6 +855,99 @@ mod tests {
         assert_eq!(f.stats.timeouts, 0);
     }
 
+    /// The congestion controls the readiness tests run under: the ECN
+    /// controller and both delay-based ones.
+    fn readiness_ccs() -> Vec<fn() -> Box<dyn CongestionControl>> {
+        vec![
+            || Box::new(Dctcp::new()),
+            || Box::new(crate::Swift::new(Nanos::from_micros(50))),
+            || Box::new(crate::Timely::new(Nanos::from_micros(40))),
+        ]
+    }
+
+    /// A drained flow is quiescent until its next deadline: `poll_send`
+    /// keeps returning `None`, and `on_tick` at any earlier instant
+    /// changes nothing (the whole `Debug` image: window, CC state,
+    /// counters, scoreboard and deadlines). This is what lets the
+    /// simulator poll only dirty flows and flows whose deadline passed.
+    fn assert_quiet_until_deadline(f: &mut Flow, from: Nanos) {
+        assert!(f.poll_send(from).is_none(), "{}: not drained", f.cc_name());
+        let image = format!("{f:?}");
+        let until = f.next_deadline().unwrap_or(from + Nanos::from_secs(100));
+        assert!(until > from, "{}: deadline already due", f.cc_name());
+        let span = until - from;
+        for t in [
+            from,
+            from + span / 3,
+            from + span / 2,
+            until - Nanos::from_nanos(1),
+        ] {
+            f.on_tick(t);
+            assert!(f.poll_send(t).is_none(), "{}: sent at {t:?}", f.cc_name());
+            assert_eq!(format!("{f:?}"), image, "{}: on_tick({t:?})", f.cc_name());
+        }
+    }
+
+    #[test]
+    fn drained_greedy_flow_waits_for_an_ack_or_a_timer() {
+        for cc in readiness_ccs() {
+            let mut f = Flow::new(FlowId(7), FlowConfig::for_mtu(MTU), cc());
+            f.set_greedy();
+            drain(&mut f, Nanos::ZERO);
+            assert_quiet_until_deadline(&mut f, Nanos::ZERO);
+
+            // An ACK (ECN-marked: DCTCP reacts) opens the window.
+            let t = Nanos::from_micros(40);
+            f.on_ack_sack(t, MSS, true, u64::MAX, &[]);
+            assert!(!drain(&mut f, t).is_empty(), "{}: ACK sends", f.cc_name());
+            assert_quiet_until_deadline(&mut f, t);
+
+            // Three dup-ACKs with SACK evidence: recovery repairs a hole.
+            let t = Nanos::from_micros(80);
+            let sack = [Some((2 * MSS, 4 * MSS)), None, None];
+            for _ in 0..3 {
+                f.on_ack_sack(t, MSS, false, u64::MAX, &sack);
+            }
+            assert!(!drain(&mut f, t).is_empty(), "{}: repair sent", f.cc_name());
+            assert_quiet_until_deadline(&mut f, t);
+
+            // A due timer wakes the flow: the probe or RTO retransmits.
+            let due = f.next_deadline().expect("data in flight arms a timer");
+            f.on_tick(due);
+            let pkts = drain(&mut f, due);
+            assert!(
+                pkts.iter().any(|p| p.retransmit),
+                "{}: timer fired",
+                f.cc_name()
+            );
+            assert_quiet_until_deadline(&mut f, due);
+
+            // Stopping the application releases nothing new.
+            f.stop_app();
+            assert_quiet_until_deadline(&mut f, due);
+        }
+    }
+
+    #[test]
+    fn drained_message_flow_waits_for_a_queued_message() {
+        for cc in readiness_ccs() {
+            let mut f = Flow::new(FlowId(8), FlowConfig::for_mtu(MTU), cc());
+            // Nothing queued: no timer, nothing to send, at any time.
+            assert_quiet_until_deadline(&mut f, Nanos::ZERO);
+            let end = f.queue_message(3 * MSS);
+            assert_eq!(drain(&mut f, Nanos::ZERO).len(), 3);
+            assert_quiet_until_deadline(&mut f, Nanos::ZERO);
+            let t = Nanos::from_micros(40);
+            f.on_ack_sack(t, end, false, u64::MAX, &[]);
+            assert!(f.is_idle());
+            assert_eq!(f.next_deadline(), None, "an idle flow arms no timer");
+            assert_quiet_until_deadline(&mut f, t);
+            f.queue_message(100);
+            assert_eq!(drain(&mut f, t).len(), 1, "{}: message sent", f.cc_name());
+            assert_quiet_until_deadline(&mut f, t);
+        }
+    }
+
     #[test]
     fn ece_is_counted_and_passed_to_cc() {
         let mut f = Flow::new(FlowId(6), FlowConfig::for_mtu(MTU), Box::new(Dctcp::new()));

@@ -113,21 +113,26 @@ impl RpcClient {
 
     /// Issue the next request when due: closed loop sends one at a time
     /// after think time; open loop fires at Poisson intervals regardless
-    /// of outstanding requests. Call before polling the flow for packets.
-    pub fn maybe_send(&mut self, now: Nanos, flow: &mut Flow) {
+    /// of outstanding requests. Call before polling the flow for packets;
+    /// returns whether a request was queued (the flow then has data to
+    /// send).
+    pub fn maybe_send(&mut self, now: Nanos, flow: &mut Flow) -> bool {
         match self.cfg.open_loop_rate {
             None => {
                 if !self.outstanding.is_empty() || now < self.next_send_at {
-                    return;
+                    return false;
                 }
                 self.send_one(now, flow);
+                true
             }
             Some(rate) => {
+                let due = now >= self.next_send_at;
                 while now >= self.next_send_at {
                     self.send_one(now, flow);
                     let gap_ns = self.rng.exp(1e9 / rate.max(1e-9));
                     self.next_send_at += Nanos::from_nanos(gap_ns.max(1.0) as u64);
                 }
+                due
             }
         }
     }
@@ -192,12 +197,12 @@ mod tests {
     fn sends_one_request_at_a_time() {
         let mut c = client();
         let mut f = flow();
-        c.maybe_send(Nanos::ZERO, &mut f);
+        assert!(c.maybe_send(Nanos::ZERO, &mut f), "a request is queued");
         assert!(c.busy());
         let first = f.poll_send(Nanos::ZERO);
         assert!(first.is_some());
         // While busy, no second request is queued.
-        c.maybe_send(Nanos::from_micros(1), &mut f);
+        assert!(!c.maybe_send(Nanos::from_micros(1), &mut f));
         // The flow has exactly one message queued: draining it leaves
         // nothing (for sizes ≤ MSS).
         std::iter::from_fn(|| f.poll_send(Nanos::ZERO)).count();
@@ -229,9 +234,9 @@ mod tests {
         let end = c.outstanding.front().unwrap().end_offset;
         c.on_completion(end, Nanos::from_micros(50));
         // Within the 5 µs think time: idle.
-        c.maybe_send(Nanos::from_micros(52), &mut f);
+        assert!(!c.maybe_send(Nanos::from_micros(52), &mut f));
         assert!(!c.busy());
-        c.maybe_send(Nanos::from_micros(55), &mut f);
+        assert!(c.maybe_send(Nanos::from_micros(55), &mut f));
         assert!(c.busy());
     }
 
@@ -268,8 +273,12 @@ mod tests {
         let mut c = RpcClient::new(cfg, Rng::new(5));
         let mut f = flow();
         // 1 ms with no completions at all: many requests pile up.
-        c.maybe_send(Nanos::from_millis(1), &mut f);
+        assert!(c.maybe_send(Nanos::from_millis(1), &mut f));
         assert!(c.outstanding.len() > 50, "queued {}", c.outstanding.len());
+        // Every arrival up to 1 ms is issued: nothing is due again at once.
+        let queued = c.outstanding.len();
+        assert!(!c.maybe_send(Nanos::from_millis(1), &mut f));
+        assert_eq!(c.outstanding.len(), queued);
     }
 
     #[test]
